@@ -6,134 +6,4 @@ cross-attention branch, plus the experiment harness (cost model, ablation
 grids, drop-mask heatmaps) used to study that branch.
 """
 
-from .data import GridVqaDataset, GridVqaSample, encode_batch, gen_dataset, question_tokens, vocab_size
-from .experiment import (
-    ABLATION_AXES,
-    ExperimentConfig,
-    HeatmapReport,
-    RunReport,
-    ablate,
-    drop_heatmap,
-    expected_mean_freq,
-    gradcheck_report,
-    heatmap_csv,
-    markdown_table,
-    projection_ordering_note,
-    rerun,
-    run_experiment,
-    train_and_save,
-)
-from .flops import FlopsReport, flops, flops_param_free, flops_standard
-from .fusion import (
-    DropDecision,
-    FusionGrads,
-    FusionParams,
-    StandardXAttnParams,
-    adaptive_mask,
-    drop_count,
-    embed_visual,
-    fuse,
-    fuse_backward,
-    fuse_forward,
-    param_free_xattn,
-    standard_xattn,
-)
-from .model import (
-    LEGAL_PLACEMENTS,
-    DecoderModel,
-    ModelConfig,
-    PlacementConfig,
-    legal_placements,
-    load_checkpoint,
-    save_checkpoint,
-)
-from .prompt import (
-    EncoderOutput,
-    MultiscalePrompt,
-    attach_cls,
-    build_prompt,
-    load_prompt,
-    prompt_rows,
-    save_prompt,
-    synthetic_encoder,
-)
-from .tensor import (
-    ACTIVATIONS,
-    FLOAT,
-    ShapeError,
-    load_tensor,
-    save_tensor,
-    tensor_from_bytes,
-    tensor_to_bytes,
-)
-from .train import TrainingDiverged, TrainResult, align_visual_keys, cosine_lr, evaluate, train_model
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ABLATION_AXES",
-    "ACTIVATIONS",
-    "FLOAT",
-    "LEGAL_PLACEMENTS",
-    "DecoderModel",
-    "DropDecision",
-    "EncoderOutput",
-    "ExperimentConfig",
-    "FlopsReport",
-    "FusionGrads",
-    "FusionParams",
-    "GridVqaDataset",
-    "GridVqaSample",
-    "HeatmapReport",
-    "ModelConfig",
-    "MultiscalePrompt",
-    "PlacementConfig",
-    "RunReport",
-    "ShapeError",
-    "StandardXAttnParams",
-    "TrainResult",
-    "TrainingDiverged",
-    "ablate",
-    "adaptive_mask",
-    "align_visual_keys",
-    "attach_cls",
-    "build_prompt",
-    "cosine_lr",
-    "drop_count",
-    "drop_heatmap",
-    "embed_visual",
-    "encode_batch",
-    "evaluate",
-    "expected_mean_freq",
-    "flops",
-    "flops_param_free",
-    "flops_standard",
-    "fuse",
-    "fuse_backward",
-    "fuse_forward",
-    "gen_dataset",
-    "gradcheck_report",
-    "heatmap_csv",
-    "legal_placements",
-    "load_checkpoint",
-    "load_prompt",
-    "load_tensor",
-    "markdown_table",
-    "param_free_xattn",
-    "projection_ordering_note",
-    "prompt_rows",
-    "question_tokens",
-    "rerun",
-    "run_experiment",
-    "save_checkpoint",
-    "save_prompt",
-    "save_tensor",
-    "standard_xattn",
-    "synthetic_encoder",
-    "tensor_from_bytes",
-    "tensor_to_bytes",
-    "train_and_save",
-    "train_model",
-    "vocab_size",
-    "__version__",
-]

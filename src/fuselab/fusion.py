@@ -13,13 +13,17 @@ only trainable tensors are the two low-rank pairs that embed raw visual
 features into the model width, and a per-row positional embedding added to
 the embedded features.
 
+`site_forward`/`site_backward` are the one implementation of that
+product and its gradients: `param_free_xattn` and `fuse_forward`/
+`fuse_backward` run it on one sample, the decoder on a whole batch.
+
 `standard_xattn` implements the classical softmax cross-attention and is
 kept as the reference the simplified path is measured against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,8 +51,9 @@ def _check_gamma(gamma: float) -> None:
 class DropDecision:
     """Binary keep/drop mask for one score matrix.
 
-    mask is (L, N) with exactly k zeros per row, placed on the k smallest
-    scores of that row (ties masked lowest column index first).
+    mask is (L, N) -- (..., L, N) from a batched site -- with exactly k
+    zeros per row, placed on the k smallest scores of that row (ties
+    masked lowest column index first).
     """
 
     mask: np.ndarray
@@ -226,34 +231,106 @@ def param_free_xattn(
         raise ShapeError(f"expected rank-2 inputs, got {x_text.shape} and {x_vis.shape}")
     if x_text.shape[1] != x_vis.shape[1]:
         raise ShapeError(f"feature widths differ: {x_text.shape} vs {x_vis.shape}")
-    scores = activation(x_text, phi) @ activation(x_vis, phi).T
-    decision = adaptive_mask(scores, gamma)
-    out = (scores * decision.mask) @ x_vis
-    return out, scores, decision
+    out, site = site_forward(x_text, x_vis, activation(x_vis, phi), 1.0, gamma, phi)
+    return out, site.scores, site.decision
 
 
-def embed_visual(x_raw: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Low-rank embedding (x_raw @ a) @ b, kept factored for O(N d' r + N r d)."""
-    if x_raw.ndim != 2:
-        raise ShapeError(f"x_raw must be rank 2, got shape {x_raw.shape}")
-    if x_raw.shape[1] != a.shape[0] or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot chain {x_raw.shape} @ {a.shape} @ {b.shape}")
-    return (x_raw @ a) @ b
+# ---------------------------------------------------------------------------
+# the fusion site: one kernel for a single sample (L, d) and a batch (B, L, d)
 
 
 @dataclass
-class FuseCache:
-    """Forward intermediates needed by fuse_backward."""
+class SiteCache:
+    """Forward intermediates of one fusion site, needed by site_backward."""
+
+    queries: np.ndarray  # (..., L, d)
+    q_act: np.ndarray  # phi(queries)
+    scores: np.ndarray  # (..., L, N)
+    decision: DropDecision
+
+
+def site_forward(
+    queries: np.ndarray,
+    values: np.ndarray,
+    k_act: np.ndarray,
+    alpha: float,
+    gamma: float,
+    phi: str,
+) -> tuple[np.ndarray, SiteCache]:
+    """delta = alpha * (mask(phi(queries) @ k_act^T) @ values).
+
+    queries are (..., L, d); values and k_act = phi(values) are (..., N, d)
+    with the same leading axes, so one call serves one sample or a batch.
+    k_act is an input because every site of a model shares it.
+    """
+    q_act = activation(queries, phi)
+    scores = q_act @ np.swapaxes(k_act, -1, -2)
+    decision = adaptive_mask(scores.reshape(-1, scores.shape[-1]), gamma)
+    decision.mask = decision.mask.reshape(scores.shape)
+    delta = alpha * ((scores * decision.mask) @ values)
+    return delta, SiteCache(queries=queries, q_act=q_act, scores=scores, decision=decision)
+
+
+def site_backward(
+    d_delta: np.ndarray,
+    cache: SiteCache,
+    values: np.ndarray,
+    k_act: np.ndarray,
+    alpha: float,
+    phi: str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients of one site against its cached forward.
+
+    Returns (d_queries, d_values, d_k_act): d_values covers the value path
+    only, and d_k_act is the key-path cotangent of phi(values), which the
+    caller pulls back through activation_vjp once, after summing it over
+    every site that shares the keys.  The drop mask is a constant: kept
+    score entries pass the gradient straight through, dropped entries
+    contribute exactly zero.
+    """
+    mask = cache.decision.mask
+    d_out = alpha * d_delta
+    d_scores = (d_out @ np.swapaxes(values, -1, -2)) * mask
+    d_values = np.swapaxes(cache.scores * mask, -1, -2) @ d_out
+    d_q_act = d_scores @ k_act
+    d_k_act = np.swapaxes(d_scores, -1, -2) @ cache.q_act
+    return activation_vjp(cache.queries, d_q_act, phi), d_values, d_k_act
+
+
+# ---------------------------------------------------------------------------
+# the fusion branch: low-rank visual embedding feeding the site
+
+
+def visual_values(x_vis_raw: np.ndarray, p: FusionParams) -> tuple[np.ndarray, np.ndarray]:
+    """(values, low_rank) with values = beta * (x_vis_raw @ a_feat) @ b_feat + pos_embed.
+
+    beta scales only the embedded features; the positional embedding
+    enters unscaled.  x_vis_raw may carry leading batch axes.
+    """
+    low_rank = x_vis_raw @ p.a_feat
+    values = low_rank @ p.b_feat
+    values *= p.beta  # in place: these (B, N, d) temporaries dominate allocation
+    values += p.pos_embed
+    return values, low_rank
+
+
+def low_rank_vjp(d_out: np.ndarray, x_raw: np.ndarray, low_rank: np.ndarray, b: np.ndarray):
+    """(d_a, d_b) for out = (x_raw @ a) @ b, summed over any leading batch axes."""
+    rank, width = b.shape
+    d_b = low_rank.reshape(-1, rank).T @ d_out.reshape(-1, width)
+    d_a = x_raw.reshape(-1, x_raw.shape[-1]).T @ (d_out @ b.T).reshape(-1, rank)
+    return d_a, d_b
+
+
+@dataclass
+class FuseCache(SiteCache):
+    """Forward intermediates needed by fuse_backward: the site's plus the embedding's."""
 
     params: FusionParams
-    x_text: np.ndarray
     x_vis_raw: np.ndarray
     low_rank: np.ndarray  # x_vis_raw @ a_feat, (N, r)
     values: np.ndarray  # beta * embedded + pos_embed, (N, d)
-    q_act: np.ndarray
-    k_act: np.ndarray
-    scores: np.ndarray
-    mask: np.ndarray
+    k_act: np.ndarray  # phi(values)
 
 
 @dataclass
@@ -274,32 +351,17 @@ def fuse_forward(
     """Full fusion pipeline with cached intermediates.
 
     delta = alpha * param_free_xattn(x_text, beta * embed(x_vis_raw) + E)
-    where embed is the a_feat/b_feat low-rank pair.  beta scales only the
-    embedded features; the positional embedding enters unscaled.
+    where embed is the a_feat/b_feat low-rank pair.
     """
     if x_vis_raw.ndim != 2 or x_vis_raw.shape[0] != p.n_rows:
         raise ShapeError(
             f"x_vis_raw must have {p.n_rows} rows to match pos_embed, got shape {x_vis_raw.shape}"
         )
-    low_rank = x_vis_raw @ p.a_feat
-    values = p.beta * (low_rank @ p.b_feat) + p.pos_embed
-    q_act = activation(x_text, p.phi)
+    values, low_rank = visual_values(x_vis_raw, p)
     k_act = activation(values, p.phi)
-    scores = q_act @ k_act.T
-    decision = adaptive_mask(scores, p.gamma)
-    delta = p.alpha * ((scores * decision.mask) @ values)
-    cache = FuseCache(
-        params=p,
-        x_text=x_text,
-        x_vis_raw=x_vis_raw,
-        low_rank=low_rank,
-        values=values,
-        q_act=q_act,
-        k_act=k_act,
-        scores=scores,
-        mask=decision.mask,
-    )
-    return delta, decision, cache
+    delta, site = site_forward(x_text, values, k_act, p.alpha, p.gamma, p.phi)
+    cache = FuseCache(**vars(site), params=p, x_vis_raw=x_vis_raw, low_rank=low_rank, values=values, k_act=k_act)
+    return delta, site.decision, cache
 
 
 def fuse(
@@ -315,32 +377,15 @@ def fuse(
 def fuse_backward(upstream_grad: np.ndarray, cache: FuseCache) -> FusionGrads:
     """Analytic gradients of the fusion delta against a cached forward.
 
-    The drop mask is treated as a constant: kept score entries pass the
-    gradient straight through, dropped entries contribute exactly zero.
+    The drop mask is treated as a constant (see site_backward).
     """
     if not isinstance(cache, FuseCache):
         raise ValueError("fuse_backward needs the FuseCache from fuse_forward")
     p = cache.params
-    if upstream_grad.shape != (cache.x_text.shape[0], cache.values.shape[1]):
-        raise ShapeError(
-            f"upstream grad shape {upstream_grad.shape} does not match delta "
-            f"({cache.x_text.shape[0]}, {cache.values.shape[1]})"
-        )
-    d_out = p.alpha * upstream_grad
-    s_masked = cache.scores * cache.mask
-    d_scores = (d_out @ cache.values.T) * cache.mask
-    d_values = s_masked.T @ d_out  # value path
-    d_q_act = d_scores @ cache.k_act
-    d_k_act = d_scores.T @ cache.q_act
-    d_x_text = activation_vjp(cache.x_text, d_q_act, p.phi)
+    expected = (cache.queries.shape[0], cache.values.shape[1])
+    if upstream_grad.shape != expected:
+        raise ShapeError(f"upstream grad shape {upstream_grad.shape} does not match delta {expected}")
+    d_x_text, d_values, d_k_act = site_backward(upstream_grad, cache, cache.values, cache.k_act, p.alpha, p.phi)
     d_values = d_values + activation_vjp(cache.values, d_k_act, p.phi)  # key path
-    d_pos_embed = d_values
-    d_embedded = p.beta * d_values
-    d_b_feat = cache.low_rank.T @ d_embedded
-    d_a_feat = cache.x_vis_raw.T @ (d_embedded @ p.b_feat.T)
-    return FusionGrads(
-        a_feat=d_a_feat,
-        b_feat=d_b_feat,
-        pos_embed=d_pos_embed,
-        x_text=d_x_text,
-    )
+    d_a_feat, d_b_feat = low_rank_vjp(p.beta * d_values, cache.x_vis_raw, cache.low_rank, p.b_feat)
+    return FusionGrads(a_feat=d_a_feat, b_feat=d_b_feat, pos_embed=d_values, x_text=d_x_text)

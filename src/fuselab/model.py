@@ -23,12 +23,12 @@ frozen base contributes vector-Jacobian products but receives no updates.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .fusion import FusionParams, adaptive_mask
+from .fusion import FusionParams, low_rank_vjp, site_backward, site_forward, visual_values
 from .prompt import prompt_rows
 from .tensor import FLOAT, ShapeError, activation, activation_vjp, load_tensor, save_tensor, sigmoid, silu_grad, softmax_rows
 
@@ -190,36 +190,6 @@ class ModelGrads:
 # batched primitives (batch, seq, d)
 
 
-def _act3(x: np.ndarray, kind: str) -> np.ndarray:
-    """Activation on a rank-3 tensor with per-sample semantics.
-
-    softmax rows run over the last axis; the positive-shifted silu takes
-    its min over each sample's slice, matching the rank-2 op applied
-    sample by sample.
-    """
-    if kind == "softmax_rows":
-        b, s, d = x.shape
-        return softmax_rows(x.reshape(b * s, d)).reshape(b, s, d)
-    if kind == "silu_positive":
-        return x * sigmoid(x) - np.min(x, axis=(1, 2), keepdims=True)
-    return activation(x, kind)
-
-
-def _act3_vjp(x: np.ndarray, grad_out: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "softmax_rows":
-        b, s, d = x.shape
-        flat = activation_vjp(x.reshape(b * s, d), grad_out.reshape(b * s, d), kind)
-        return flat.reshape(b, s, d)
-    if kind == "silu_positive":
-        dx = grad_out * silu_grad(x)
-        b = x.shape[0]
-        flat_x = x.reshape(b, -1)
-        flat_dx = dx.reshape(b, -1)  # view of the fresh dx
-        flat_dx[np.arange(b), np.argmin(flat_x, axis=1)] -= grad_out.reshape(b, -1).sum(axis=1)
-        return dx
-    return activation_vjp(x, grad_out, kind)
-
-
 def _ln_forward(x, gain, bias):
     mu = x.mean(axis=-1, keepdims=True)
     centered = x - mu
@@ -246,8 +216,7 @@ def _attn_forward(n1, blk):
     s = n1.shape[1]
     causal = np.tril(np.ones((s, s), dtype=bool))
     logits = np.where(causal, logits, -np.inf)
-    b = n1.shape[0]
-    weights = softmax_rows(logits.reshape(b * s, s)).reshape(b, s, s)
+    weights = softmax_rows(logits)
     ctx = weights @ v
     return ctx @ blk.w_o, (q, k, v, weights)
 
@@ -279,149 +248,60 @@ def _mlp_backward(d_out, pre, blk):
 
 
 # ---------------------------------------------------------------------------
-# fusion site, batched
-
-
-@dataclass
-class _SiteContext:
-    """Per-forward shared visual state: one values tensor for every block."""
-
-    values: np.ndarray  # (B, N, d)
-    k_act: np.ndarray  # phi(values)
-    alpha: float
-    gamma: float
-    phi: str
-    _k_local_grad: np.ndarray | None = None
-
-    def k_vjp(self, grad_out):
-        """Backprop through phi(values); the elementwise local gradient is
-        the same for every block, so it is computed once and reused."""
-        if self.phi == "identity":
-            return grad_out
-        if self.phi in ("silu", "relu", "elu"):
-            if self._k_local_grad is None:
-                self._k_local_grad = _elementwise_grad(self.values, self.phi)
-            return grad_out * self._k_local_grad
-        return _act3_vjp(self.values, grad_out, self.phi)
-
-
-def _elementwise_grad(x, kind):
-    if kind == "silu":
-        return silu_grad(x)
-    if kind == "relu":
-        return (x > 0).astype(FLOAT)
-    if kind == "elu":
-        return np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
-    raise ValueError(f"{kind!r} has no elementwise gradient")
-
-
-def _site_forward(tap, ctx: _SiteContext):
-    q_act = _act3(tap, ctx.phi)
-    scores = q_act @ ctx.k_act.swapaxes(1, 2)
-    b, s, n = scores.shape
-    decision = adaptive_mask(scores.reshape(b * s, n), ctx.gamma)
-    mask = decision.mask.reshape(b, s, n)
-    delta = ctx.alpha * ((scores * mask) @ ctx.values)
-    return delta, mask, (tap, q_act, scores, mask)
-
-
-def _site_backward(d_delta, cache, ctx: _SiteContext):
-    tap, q_act, scores, mask = cache
-    d_out = ctx.alpha * d_delta
-    d_scores = (d_out @ ctx.values.swapaxes(1, 2)) * mask
-    d_values = (scores * mask).swapaxes(1, 2) @ d_out
-    d_q_act = d_scores @ ctx.k_act
-    d_k_act = d_scores.swapaxes(1, 2) @ q_act
-    d_tap = _act3_vjp(tap, d_q_act, ctx.phi)
-    d_values = d_values + ctx.k_vjp(d_k_act)
-    return d_tap, d_values
-
-
-# ---------------------------------------------------------------------------
 # block with one placement-configurable fusion site
 
+# The block's two residual sublayers in order: (input tap, output tap, norm,
+# forward, backward).  The input tap is the stream entering the sublayer;
+# the output tap is the sublayer's branch before its residual add.
+SUBLAYERS = (
+    ("mhsa_in", "mhsa_out", "ln1", _attn_forward, _attn_backward),
+    ("mlp_in", "mlp_out", "ln2", _mlp_forward, _mlp_backward),
+)
 
-def _block_forward(x, blk: DecoderBlock, ctx: _SiteContext, placement: PlacementConfig):
+
+def _block_forward(x, blk: DecoderBlock, fusion: FusionParams, keys, placement: PlacementConfig):
+    """One block; keys = (values, phi(values)) is the visual side every site shares.
+
+    When the query and add points coincide, the site reads the pre-add value.
+    """
     q_from, add_to = placement.as_tuple()
-    cache = {}
+    caches, delta, site = [], None, None
 
-    def site(tap):
-        delta, mask, fc = _site_forward(tap, ctx)
-        cache["fusion"] = fc
-        cache["mask"] = mask
-        return delta
+    def tap(point, value):
+        nonlocal delta, site
+        if point == q_from:
+            delta, site = site_forward(value, *keys, fusion.alpha, fusion.gamma, fusion.phi)
+        return value + delta if point == add_to else value
 
-    delta = site(x) if q_from == "mhsa_in" else None
-    h = x + delta if add_to == "mhsa_in" else x
-    n1, cache["ln1"] = _ln_forward(h, blk.ln1_g, blk.ln1_b)
-    attn, cache["attn"] = _attn_forward(n1, blk)
-    if q_from == "mhsa_out":
-        delta = site(attn)
-    attn_inj = attn + delta if add_to == "mhsa_out" else attn
-    h2 = h + attn_inj
-    if q_from == "mlp_in":
-        delta = site(h2)
-    h2_inj = h2 + delta if add_to == "mlp_in" else h2
-    n2, cache["ln2"] = _ln_forward(h2_inj, blk.ln2_g, blk.ln2_b)
-    mlp_out, cache["mlp"] = _mlp_forward(n2, blk)
-    if q_from == "mlp_out":
-        delta = site(mlp_out)
-    mlp_inj = mlp_out + delta if add_to == "mlp_out" else mlp_out
-    return h2_inj + mlp_inj, cache
+    for p_in, p_out, ln, forward, _ in SUBLAYERS:
+        x = tap(p_in, x)
+        normed, ln_cache = _ln_forward(x, getattr(blk, f"{ln}_g"), getattr(blk, f"{ln}_b"))
+        branch, sub_cache = forward(normed, blk)
+        x = x + tap(p_out, branch)
+        caches.append((ln_cache, sub_cache))
+    return x, (caches, site)
 
 
-def _block_backward(d_out, cache, blk: DecoderBlock, ctx: _SiteContext, placement: PlacementConfig):
-    """Returns (d_block_input, d_values_contribution)."""
+def _block_backward(d_out, cache, blk: DecoderBlock, fusion: FusionParams, keys, placement: PlacementConfig):
+    """Returns (d_block_input, d_values, d_k_act) -- the site's value-path and key-path terms.
+
+    Walking backward, the add point comes before (or at) the query point,
+    so the query-path gradient is ready when its tap is reached.
+    """
     q_from, add_to = placement.as_tuple()
-    fc = cache["fusion"]
-    d_values = None
-    pending_tap = None  # query-path gradient waiting for its tap point
+    caches, site = cache
+    d_query = d_values = d_k_act = None
 
-    d_h2_inj = d_out
-    d_mlp_inj = d_out
-    if add_to == "mlp_out":
-        d_tap, d_values = _site_backward(d_mlp_inj, fc, ctx)
-        if q_from == "mlp_out":
-            d_mlp = d_mlp_inj + d_tap
-        else:  # query came from mlp_in
-            d_mlp = d_mlp_inj
-            pending_tap = d_tap
-    else:
-        d_mlp = d_mlp_inj
-    d_n2 = _mlp_backward(d_mlp, cache["mlp"], blk)
-    d_h2_inj = d_h2_inj + _ln_backward(d_n2, cache["ln2"], blk.ln2_g)
+    def tap(point, grad):
+        nonlocal d_query, d_values, d_k_act
+        if point == add_to:
+            d_query, d_values, d_k_act = site_backward(grad, site, *keys, fusion.alpha, fusion.phi)
+        return grad + d_query if point == q_from else grad
 
-    if add_to == "mlp_in":  # legality forces q_from == mlp_in
-        d_tap, d_values = _site_backward(d_h2_inj, fc, ctx)
-        d_h2 = d_h2_inj + d_tap
-    else:
-        d_h2 = d_h2_inj
-        if q_from == "mlp_in" and pending_tap is not None:
-            d_h2 = d_h2 + pending_tap
-            pending_tap = None
-
-    d_h = d_h2
-    d_attn_inj = d_h2
-    if add_to == "mhsa_out":
-        d_tap, d_values = _site_backward(d_attn_inj, fc, ctx)
-        if q_from == "mhsa_out":
-            d_attn = d_attn_inj + d_tap
-        else:  # query came from mhsa_in
-            d_attn = d_attn_inj
-            pending_tap = d_tap
-    else:
-        d_attn = d_attn_inj
-    d_n1 = _attn_backward(d_attn, cache["attn"], blk)
-    d_h = d_h + _ln_backward(d_n1, cache["ln1"], blk.ln1_g)
-
-    if add_to == "mhsa_in":  # legality forces q_from == mhsa_in
-        d_tap, d_values = _site_backward(d_h, fc, ctx)
-        d_x = d_h + d_tap
-    else:
-        d_x = d_h
-        if q_from == "mhsa_in" and pending_tap is not None:
-            d_x = d_x + pending_tap
-    return d_x, d_values
+    for (p_in, p_out, ln, _, backward), (ln_cache, sub_cache) in zip(reversed(SUBLAYERS), reversed(caches)):
+        d_normed = backward(tap(p_out, d_out), sub_cache, blk)
+        d_out = tap(p_in, d_out + _ln_backward(d_normed, ln_cache, getattr(blk, f"{ln}_g")))
+    return d_out, d_values, d_k_act
 
 
 # ---------------------------------------------------------------------------
@@ -480,19 +360,6 @@ class DecoderModel:
 
     # --- forward / backward ----------------------------------------------
 
-    def _site_context(self, feats):
-        f = self.fusion
-        low_rank = feats @ f.a_feat
-        values = f.beta * (low_rank @ f.b_feat) + f.pos_embed
-        ctx = _SiteContext(
-            values=values,
-            k_act=_act3(values, f.phi),
-            alpha=f.alpha,
-            gamma=f.gamma,
-            phi=f.phi,
-        )
-        return ctx, low_rank
-
     def _input_stream(self, tokens, cls_raw):
         if tokens.ndim != 2:
             raise ShapeError(f"tokens must be (batch, T), got {tokens.shape}")
@@ -503,18 +370,25 @@ class DecoderModel:
         cls_emb = cls_low @ self.fusion.b_cls
         return np.concatenate([cls_emb, self.embed[tokens]], axis=1), cls_low
 
+    def _forward(self, tokens, feats, cls_raw):
+        """Logits plus the intermediates loss_and_grads needs."""
+        f = self.fusion
+        values, low_rank = visual_values(feats, f)
+        keys = (values, activation(values, f.phi))  # shared by every block's site
+        x, cls_low = self._input_stream(tokens, cls_raw)
+        caches = []
+        for blk in self.blocks:
+            x, cache = _block_forward(x, blk, f, keys, self.config.placement)
+            caches.append(cache)
+        nf, lnf_cache = _ln_forward(x, self.lnf_g, self.lnf_b)
+        return nf @ self.w_head, (keys, low_rank, cls_low, caches, lnf_cache)
+
     def forward(self, tokens, feats, cls_raw, *, want_masks=False):
         """Logits (batch, T+1, vocab); optionally the per-block keep masks."""
-        ctx, _ = self._site_context(feats)
-        x, _ = self._input_stream(tokens, cls_raw)
-        masks = []
-        for blk in self.blocks:
-            x, cache = _block_forward(x, blk, ctx, self.config.placement)
-            if want_masks:
-                masks.append(cache["mask"])
-        nf, _ = _ln_forward(x, self.lnf_g, self.lnf_b)
-        logits = nf @ self.w_head
-        return (logits, masks) if want_masks else logits
+        logits, (_, _, _, caches, _) = self._forward(tokens, feats, cls_raw)
+        if want_masks:
+            return logits, [site.decision.mask for _, site in caches]
+        return logits
 
     def loss_and_grads(self, tokens, feats, cls_raw, targets, answer_mask=None):
         """Mean cross-entropy over answer positions and fusion gradients.
@@ -523,16 +397,7 @@ class DecoderModel:
         (batch, T+1) with answer_mask marking which positions count.  An
         all-false mask contributes zero loss and zero gradients.
         """
-        ctx, low_rank = self._site_context(feats)
-        x0, cls_low = self._input_stream(tokens, cls_raw)
-        x = x0
-        caches = []
-        for blk in self.blocks:
-            x, cache = _block_forward(x, blk, ctx, self.config.placement)
-            caches.append(cache)
-        nf, lnf_cache = _ln_forward(x, self.lnf_g, self.lnf_b)
-        logits = nf @ self.w_head
-
+        logits, (keys, low_rank, cls_low, caches, lnf_cache) = self._forward(tokens, feats, cls_raw)
         b, s, vocab = logits.shape
         if answer_mask is None:
             answer_mask = np.zeros((b, s), dtype=bool)
@@ -558,23 +423,23 @@ class DecoderModel:
 
         d_nf = d_logits @ self.w_head.T
         d_x = _ln_backward(d_nf, lnf_cache, self.lnf_g)
-        d_values_total = np.zeros_like(ctx.values)
+        # every site shares the keys, so value- and key-path terms are summed
+        # over blocks (in place: these are the step's largest arrays)
+        d_values = d_k_act = None
         for blk, cache in zip(reversed(self.blocks), reversed(caches)):
-            d_x, d_values = _block_backward(d_x, cache, blk, ctx, self.config.placement)
-            d_values_total += d_values
+            d_x, d_v, d_k = _block_backward(d_x, cache, blk, self.fusion, keys, self.config.placement)
+            if d_values is None:
+                d_values, d_k_act = d_v, d_k
+            else:
+                d_values += d_v
+                d_k_act += d_k
 
         f = self.fusion
-        rank = f.b_feat.shape[0]
-        d_model = f.b_feat.shape[1]
-        d_pos_embed = d_values_total.sum(axis=0)
-        d_embedded = f.beta * d_values_total
-        d_b_feat = low_rank.reshape(-1, rank).T @ d_embedded.reshape(-1, d_model)
-        d_low = d_embedded @ f.b_feat.T
-        d_a_feat = feats.reshape(-1, feats.shape[-1]).T @ d_low.reshape(-1, rank)
-        d_cls_emb = d_x[:, :1, :]
-        d_b_cls = cls_low.reshape(-1, rank).T @ d_cls_emb.reshape(-1, d_model)
-        d_cls_low = d_cls_emb @ f.b_cls.T
-        d_a_cls = cls_raw.reshape(-1, cls_raw.shape[-1]).T @ d_cls_low.reshape(-1, rank)
+        d_values += activation_vjp(keys[0], d_k_act, f.phi)
+        d_pos_embed = d_values.sum(axis=0)
+        d_values *= f.beta
+        d_a_feat, d_b_feat = low_rank_vjp(d_values, feats, low_rank, f.b_feat)
+        d_a_cls, d_b_cls = low_rank_vjp(d_x[:, :1, :], cls_raw, cls_low, f.b_cls)
         grads = ModelGrads(
             a_feat=d_a_feat,
             b_feat=d_b_feat,
@@ -596,21 +461,16 @@ class DecoderModel:
         injection point, so this value never depends on the visual rows;
         it is what the site will compare keys against.
         """
-        x0, _ = self._input_stream(tokens, cls_raw)
-        blk = self.blocks[0]
+        x, _ = self._input_stream(tokens, cls_raw)
         q_from = self.config.placement.query_from
-        if q_from == "mhsa_in":
-            return x0
-        n1, _ = _ln_forward(x0, blk.ln1_g, blk.ln1_b)
-        attn, _ = _attn_forward(n1, blk)
-        if q_from == "mhsa_out":
-            return attn
-        h2 = x0 + attn
-        if q_from == "mlp_in":
-            return h2
-        n2, _ = _ln_forward(h2, blk.ln2_g, blk.ln2_b)
-        mlp_out, _ = _mlp_forward(n2, blk)
-        return mlp_out
+        blk = self.blocks[0]
+        for p_in, p_out, ln, forward, _ in SUBLAYERS:
+            if p_in == q_from:
+                return x
+            branch, _ = forward(_ln_forward(x, getattr(blk, f"{ln}_g"), getattr(blk, f"{ln}_b"))[0], blk)
+            if p_out == q_from:
+                return branch
+            x = x + branch
 
 
 # ---------------------------------------------------------------------------
@@ -646,12 +506,19 @@ def save_checkpoint(directory, model: DecoderModel, *, step: int = 0, metrics: d
 
 
 def load_checkpoint(directory):
-    """Rebuild (model, step, metrics) with bit-identical tensors."""
+    """Rebuild (model, step, metrics) with bit-identical tensors.
+
+    The manifest must list exactly the model's tensors: a missing one
+    would otherwise keep its seed init and load silently.
+    """
     directory = Path(directory)
     manifest = json.loads((directory / MANIFEST_NAME).read_text())
     config = ModelConfig.from_dict(manifest["config"])
     model = DecoderModel.build(config)
     tensors = _all_tensors(model)
+    missing = sorted(set(tensors) - set(manifest["tensors"]))
+    if missing:
+        raise ValueError(f"checkpoint lacks model tensors {missing}")
     for name, entry in manifest["tensors"].items():
         loaded = load_tensor(directory / entry["file"])
         if name not in tensors:

@@ -3,7 +3,9 @@
 All values are plain numpy arrays of rank 1-3, C-contiguous, dtype float64.
 The helpers here add strict shape checking, the activation kernels used as
 similarity projections, the 2-D pooling kernels, and the binary on-disk
-tensor format used by the CLI and checkpoints.
+tensor format used by the CLI and checkpoints.  Activations act per
+sample -- softmax_rows over the last axis, silu_positive's shift over the
+last two -- so a batch (B, L, d) behaves like B rank-2 calls.
 
 Everything is a pure function: inputs are never mutated and identical
 inputs produce bit-identical outputs.
@@ -43,18 +45,6 @@ def as_tensor(values) -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of a (m, k) and b (k, n).
-
-    Raises ShapeError naming both shapes when the inner dimensions differ.
-    """
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function 1 / (1 + exp(-x)).
 
@@ -62,24 +52,30 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     cheaper than branch-wise masking on the large tensors fusion handles.
     """
     x = np.asarray(x, dtype=FLOAT)
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, z) / (1.0 + z)
+    z = np.abs(x)  # z = exp(-|x|), built in place: fusion's tensors are large
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    s = np.where(x >= 0, 1.0, z)
+    z += 1.0
+    s /= z
+    return s
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of a rank-2 array, stabilised by max subtraction."""
-    if x.ndim != 2:
-        raise ShapeError(f"softmax_rows needs a rank-2 input, got shape {x.shape}")
-    shifted = x - x.max(axis=1, keepdims=True)
+    """Softmax over the last axis of a rank >= 2 array, stabilised by max subtraction."""
+    if x.ndim < 2:
+        raise ShapeError(f"softmax_rows needs a rank >= 2 input, got shape {x.shape}")
+    shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def activation(x: np.ndarray, kind: str) -> np.ndarray:
-    """Apply the named projection elementwise (row-wise for softmax_rows).
+    """Apply the named projection elementwise (over the last axis for softmax_rows).
 
     silu(x) = x * sigmoid(x); silu_positive shifts silu up by the minimum
-    over the whole input tensor so every output is >= 0.
+    over each sample -- the last two axes -- so every output is >= 0.  For
+    a rank-2 input the sample is the whole tensor.
     """
     if kind == "identity":
         return np.array(x, dtype=FLOAT, copy=True)
@@ -92,14 +88,18 @@ def activation(x: np.ndarray, kind: str) -> np.ndarray:
     if kind == "silu":
         return x * sigmoid(x)
     if kind == "silu_positive":
-        return x * sigmoid(x) - np.min(x)
+        return x * sigmoid(x) - np.min(x, axis=tuple(range(x.ndim)[-2:]), keepdims=True)
     raise ValueError(f"unknown activation kind {kind!r}; expected one of {ACTIVATIONS}")
 
 
 def silu_grad(x: np.ndarray) -> np.ndarray:
     """Derivative of silu: sigma(x) * (1 + x * (1 - sigma(x)))."""
     s = sigmoid(x)
-    return s * (1.0 + x * (1.0 - s))
+    g = 1.0 - s  # the same products in place
+    g *= x
+    g += 1.0
+    g *= s
+    return g
 
 
 def activation_vjp(x: np.ndarray, grad_out: np.ndarray, kind: str) -> np.ndarray:
@@ -107,14 +107,14 @@ def activation_vjp(x: np.ndarray, grad_out: np.ndarray, kind: str) -> np.ndarray
 
     Returns d(loss)/dx given d(loss)/d(activation(x)).  The subgradient at
     the relu kink and at silu_positive's argmin picks one deterministic
-    representative (relu'(0) = 0; the min is attributed to the first
-    minimising entry in row-major order).
+    representative (relu'(0) = 0; each sample's min is attributed to its
+    first minimising entry in row-major order).
     """
     if kind == "identity":
         return np.array(grad_out, dtype=FLOAT, copy=True)
     if kind == "softmax_rows":
         s = softmax_rows(x)
-        inner = (grad_out * s).sum(axis=1, keepdims=True)
+        inner = (grad_out * s).sum(axis=-1, keepdims=True)
         return s * (grad_out - inner)
     if kind == "relu":
         return np.where(x > 0, grad_out, 0.0)
@@ -123,9 +123,10 @@ def activation_vjp(x: np.ndarray, grad_out: np.ndarray, kind: str) -> np.ndarray
     if kind == "silu":
         return grad_out * silu_grad(x)
     if kind == "silu_positive":
-        dx = grad_out * silu_grad(x)
-        argmin = np.unravel_index(np.argmin(x), x.shape)
-        dx[argmin] -= np.sum(grad_out)
+        dx = np.ascontiguousarray(grad_out * silu_grad(x))
+        n = int(np.prod(x.shape[:-2]))  # one sample per index of the leading axes
+        flat_dx = dx.reshape(n, -1)  # a view, so the update lands in dx
+        flat_dx[np.arange(n), np.argmin(x.reshape(n, -1), axis=1)] -= grad_out.reshape(n, -1).sum(axis=1)
         return dx
     raise ValueError(f"unknown activation kind {kind!r}; expected one of {ACTIVATIONS}")
 
@@ -154,21 +155,6 @@ def max_pool2d(grid: np.ndarray, k: int) -> np.ndarray:
     return grid.reshape(h // k, k, w // k, k, c).max(axis=(1, 3))
 
 
-def reshape(x: np.ndarray, shape) -> np.ndarray:
-    shape = tuple(shape)
-    if len(shape) < 1 or len(shape) > MAX_RANK:
-        raise ShapeError(f"target rank must be 1..{MAX_RANK}, got {shape}")
-    if int(np.prod(shape)) != x.size:
-        raise ShapeError(f"cannot reshape {x.shape} ({x.size} elements) to {shape}")
-    return np.ascontiguousarray(x.reshape(shape))
-
-
-def transpose(x: np.ndarray) -> np.ndarray:
-    if x.ndim != 2:
-        raise ShapeError(f"transpose needs a rank-2 input, got shape {x.shape}")
-    return np.ascontiguousarray(x.T)
-
-
 def concat_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Stack two matrices vertically; column counts must agree."""
     if a.ndim != 2 or b.ndim != 2:
@@ -176,16 +162,6 @@ def concat_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] != b.shape[1]:
         raise ShapeError(f"concat_rows column counts differ: {a.shape} vs {b.shape}")
     return np.concatenate([a, b], axis=0)
-
-
-def scale(x: np.ndarray, s: float) -> np.ndarray:
-    return x * FLOAT(s)
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape:
-        raise ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
-    return a + b
 
 
 # --- binary tensor file format -------------------------------------------

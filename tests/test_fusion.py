@@ -11,16 +11,19 @@ from fuselab.fusion import (
     StandardXAttnParams,
     adaptive_mask,
     drop_count,
-    embed_visual,
     fuse,
     fuse_backward,
     fuse_forward,
     param_free_xattn,
+    site_backward,
+    site_forward,
     standard_xattn,
+    visual_values,
 )
-from fuselab.tensor import ShapeError, activation
+from fuselab.tensor import ACTIVATIONS, ShapeError, activation, activation_vjp
 
 from .oracles import (
+    SCALAR_ACTS,
     fd_grad,
     grad_rel_err,
     matmul_lists,
@@ -183,28 +186,6 @@ class TestAdaptiveMask:
         np.testing.assert_array_equal(
             decision.mask, np.repeat([[0.0] * 4 + [1.0] * 4], 2, axis=0)
         )
-
-
-class TestEmbedVisual:
-    def test_zero_b_annihilates(self):
-        g = rng(11)
-        out = embed_visual(g.normal(size=(5, 4)), g.normal(size=(4, 3)), np.zeros((3, 6)))
-        np.testing.assert_array_equal(out, np.zeros((5, 6)))
-
-    def test_hand_example(self):
-        out = embed_visual(
-            np.array([[1.0, 2.0]]), np.eye(2), np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        )
-        np.testing.assert_array_equal(out, [[1.0, 2.0, 0.0]])
-
-    def test_matches_single_product(self):
-        g = rng(12)
-        x, a, b = g.normal(size=(7, 4)), g.normal(size=(4, 3)), g.normal(size=(3, 6))
-        np.testing.assert_allclose(embed_visual(x, a, b), x @ (a @ b), atol=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            embed_visual(np.zeros((5, 4)), np.zeros((3, 3)), np.zeros((3, 6)))
 
 
 class TestFusionParams:
@@ -386,6 +367,59 @@ class TestFuseBackward:
         _, _, cache = fuse_forward(rng(44).normal(size=(3, 6)), rng(45).normal(size=(5, 4)), p)
         with pytest.raises(ShapeError):
             fuse_backward(np.zeros((2, 6)), cache)
+
+
+def _draw(g, shape, quantized):
+    """Normal entries, or entries in {0, c} for one random level c.
+
+    Quantized rows repeat or vanish often, which forces exact score ties;
+    and every nonzero score term is the same product, so equal scores come
+    out equal in both the kernel and the scalar oracle.
+    """
+    if quantized:
+        return g.normal() * (g.random(shape) < 0.5)
+    return g.normal(size=shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batch=st.integers(1, 4),
+    n_text=st.integers(1, 4),
+    n_rows=st.integers(1, 6),
+    d=st.integers(1, 5),
+    gamma=st.floats(0.0, 0.5, exclude_max=True),
+    phi=st.sampled_from(ACTIVATIONS),
+    quantized=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+def test_batched_site_matches_rank2_calls_and_oracle(batch, n_text, n_rows, d, gamma, phi, quantized, seed):
+    g = rng(seed)
+    p = FusionParams.init(
+        g, d_in=3, d_model=d, rank=2, n_rows=n_rows, alpha=0.7, beta=1.0, gamma=gamma, phi=phi,
+        pos_scale=0.0 if quantized else 0.3, b_scale=1.0,
+    )
+    queries = _draw(g, (batch, n_text, d), quantized)
+    x_vis_raw = _draw(g, (batch, n_rows, 3), quantized)
+    upstream = g.normal(size=(batch, n_text, d))
+
+    values, _ = visual_values(x_vis_raw, p)
+    k_act = activation(values, phi)
+    delta, cache = site_forward(queries, values, k_act, p.alpha, gamma, phi)
+    d_queries, d_values, d_k_act = site_backward(upstream, cache, values, k_act, p.alpha, phi)
+    d_values = d_values + activation_vjp(values, d_k_act, phi)
+    for b in range(batch):
+        single, decision, single_cache = fuse_forward(queries[b], x_vis_raw[b], p)
+        grads = fuse_backward(upstream[b], single_cache)
+        assert values[b].tobytes() == single_cache.values.tobytes()
+        assert delta[b].tobytes() == single.tobytes()
+        assert cache.decision.mask[b].tobytes() == decision.mask.tobytes()
+        assert d_queries[b].tobytes() == grads.x_text.tobytes()
+        assert d_values[b].tobytes() == grads.pos_embed.tobytes()
+        if phi in SCALAR_ACTS:
+            out, scores, masks = param_free_scalar(queries[b], values[b], phi, gamma)
+            np.testing.assert_allclose(cache.scores[b], scores, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(cache.decision.mask[b], masks)
+            np.testing.assert_allclose(delta[b], p.alpha * np.asarray(out), rtol=0, atol=1e-12)
 
 
 def test_drop_count_float64_semantics():

@@ -283,3 +283,15 @@ class TestCheckpoint:
         mpath.write_text(json.dumps(manifest))
         with pytest.raises(ShapeError):
             load_checkpoint(tmp_path / "ck")
+
+    def test_missing_tensor_rejected(self, tmp_path):
+        import json
+
+        model = awaken(DecoderModel.build(tiny_config()))
+        save_checkpoint(tmp_path / "ck", model)
+        mpath = tmp_path / "ck" / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        del manifest["tensors"]["fusion.b_feat"]
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="fusion.b_feat"):
+            load_checkpoint(tmp_path / "ck")
