@@ -126,15 +126,19 @@ def _cmd_ablate(args) -> int:
 def _cmd_heatmap(args) -> int:
     model, step, metrics = load_checkpoint(args.checkpoint)
     cfg = model.config
-    channels = cfg.vocab_size - 32  # vocab = colors + 16 row + 16 col tokens
-    _, test_set = gen_dataset(cfg.seed, n_train=1, n_test=args.samples, channels=channels)
+    if "config" not in metrics:
+        raise ValueError(f"checkpoint {args.checkpoint} records no run config to rebuild its test set from")
+    run = ExperimentConfig.from_dict(metrics["config"])
+    # the run's own test set: _draw draws every image before every query,
+    # so a shorter n_test would keep the images but change the questions
+    _, test_set = gen_dataset(run.seed, n_train=1, n_test=run.n_test, channels=run.channels)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        report = drop_heatmap(model, test_set, encoder_seed=cfg.seed, n_samples=args.samples)
+        report = drop_heatmap(model, test_set, encoder_seed=run.seed, n_samples=args.samples)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     expected = expected_mean_freq(cfg.gamma, cfg.n_rows)
-    print(f"checkpoint step {step}  metrics {metrics}")
+    print(f"checkpoint step {step}  metrics { {k: v for k, v in metrics.items() if k != 'config'} }")
     print(f"mean keep frequency {report.mean_freq:.12f} (expected {expected:.12f})")
     if report.queried_top_decile_rate is not None:
         print(f"queried cell in top decile on {report.queried_top_decile_rate:.1%} of samples")

@@ -113,20 +113,11 @@ def gen_dataset(seed: int, n_train: int = 4096, n_test: int = 1024, channels: in
 def encode_batch(dataset: GridVqaDataset, idx, d_in: int, encoder_seed: int, scales=(1, 2), pool: str = "avg"):
     """Tokens, prompt features, cls rows, and answers for the given indices.
 
-    Runs the frozen encoder and prompt builder per sample; the content
-    map is a pure function of encoder_seed, so features do not depend on
-    batch composition.
+    One frozen-encoder call and one prompt build cover the whole batch;
+    both act per sample and the content map is a pure function of
+    encoder_seed, so features do not depend on batch composition.
     """
     idx = np.asarray(idx)
-    eye = np.eye(dataset.channels)
-    feats, cls_rows = [], []
-    for i in idx:
-        enc = synthetic_encoder(eye[dataset.images[i]], d_in, encoder_seed)
-        feats.append(build_prompt(enc, scales=scales, pool=pool).features)
-        cls_rows.append(enc.cls)
-    return (
-        dataset.tokens(idx),
-        np.stack(feats),
-        np.stack(cls_rows),
-        dataset.answers[idx],
-    )
+    enc = synthetic_encoder(np.eye(dataset.channels)[dataset.images[idx]], d_in, encoder_seed)
+    prompt = build_prompt(enc, scales=scales, pool=pool)
+    return dataset.tokens(idx), prompt.features, enc.cls, dataset.answers[idx]

@@ -22,7 +22,7 @@ from .data import GridVqaDataset, encode_batch, gen_dataset, vocab_size
 from .flops import FlopsReport, flops
 from .fusion import FusionParams, drop_count, fuse_backward, fuse_forward
 from .model import DecoderModel, ModelConfig, legal_placements, save_checkpoint
-from .prompt import GRID
+from .prompt import GRID, scale_layout
 from .tensor import ACTIVATIONS
 from .train import BASE_LR, KEY_GAIN, align_visual_keys, train_model
 
@@ -166,18 +166,13 @@ def drop_heatmap(
     if cfg.gamma == 0.0:
         warnings.warn("gamma is 0: nothing is dropped, every frequency is 1", stacklevel=2)
     n_samples = min(n_samples, len(dataset))
-    if n_samples == 0:
-        raise ValueError("heatmap needs at least one sample")
-    n_rows = cfg.n_rows
-    row_counts = np.zeros(n_rows, dtype=np.int64)
-    fine_offset = 0  # where the scale-1 rows sit in the row stack
-    for s in cfg.scales:
-        if s == 1:
-            break
-        fine_offset += (GRID // s) ** 2
-    fine_rows = GRID * GRID if 1 in cfg.scales else 0
+    if n_samples < 1:
+        raise ValueError(f"heatmap needs at least one sample, got {n_samples}")
+    layout = scale_layout(cfg.scales)
+    fine = layout.get(1)  # the scale-1 rows, one per grid cell
+    row_counts = np.zeros(cfg.n_rows, dtype=np.int64)
     top_decile_hits = 0
-    decile_rank = int(np.ceil(0.1 * fine_rows)) if fine_rows else 0
+    decile_rank = int(np.ceil(0.1 * GRID * GRID))
     text_positions = blocks = 0
 
     for start in range(0, n_samples, batch_size):
@@ -189,8 +184,8 @@ def drop_heatmap(
         kept = np.stack([m[:, 1:, :] for m in masks])  # (blocks, B, text, N)
         blocks, _, text_positions, _ = kept.shape
         row_counts += kept.sum(axis=(0, 1, 2)).astype(np.int64)
-        if fine_rows:
-            per_sample = kept.sum(axis=(0, 2))[:, fine_offset : fine_offset + fine_rows]
+        if fine is not None:
+            per_sample = kept.sum(axis=(0, 2))[:, fine]
             cells = dataset.queries[idx, 0] * GRID + dataset.queries[idx, 1]
             own = per_sample[np.arange(len(idx)), cells]
             rank = np.sum(per_sample > own[:, None], axis=1)  # rows strictly ahead
@@ -199,16 +194,13 @@ def drop_heatmap(
     denominator = text_positions * blocks * n_samples
     freq = row_counts / denominator
     counts_by_scale, freq_by_scale, norm_by_scale = {}, {}, {}
-    offset = 0
-    for s in cfg.scales:
+    for s, rows in layout.items():
         side = GRID // s
-        block = slice(offset, offset + side * side)
-        counts_by_scale[s] = row_counts[block].reshape(side, side)
-        grid = freq[block].reshape(side, side)
+        counts_by_scale[s] = row_counts[rows].reshape(side, side)
+        grid = freq[rows].reshape(side, side)
         freq_by_scale[s] = grid
         peak = grid.max()
         norm_by_scale[s] = grid / peak if peak > 0 else np.zeros_like(grid)
-        offset += side * side
     return HeatmapReport(
         gamma=cfg.gamma,
         denominator=denominator,
@@ -216,7 +208,7 @@ def drop_heatmap(
         freq=freq_by_scale,
         normalized=norm_by_scale,
         mean_freq=float(freq.mean()),
-        queried_top_decile_rate=(top_decile_hits / n_samples) if fine_rows else None,
+        queried_top_decile_rate=(top_decile_hits / n_samples) if fine is not None else None,
     )
 
 
@@ -340,7 +332,7 @@ def train_and_save(config: ExperimentConfig, out_dir, *, label: str = "") -> Run
         out_dir / "checkpoint",
         model,
         step=config.steps,
-        metrics={"final_accuracy": report.final_accuracy, "label": label},
+        metrics={"final_accuracy": report.final_accuracy, "label": label, "config": config.to_dict()},
     )
     return report
 

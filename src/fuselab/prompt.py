@@ -4,10 +4,13 @@ A symbolic 16x16 image (one-hot color channels per cell) is mapped to one
 feature row per patch by a frozen random linear map plus a fixed 2-D
 sinusoidal position code, together with a global token averaging the
 patches.  The prompt is built by pooling the 16x16 feature grid at one or
-more scales, flattening each pooled grid in raster order, and
-concatenating fine-to-coarse in the caller's scale order.  Row-level
-metadata remembers which scale and grid cell every prompt row came from,
-which is what the drop-mask heatmaps aggregate over later.
+more scales, flattening each pooled grid in raster order, and stacking
+the results in the caller's scale order.  Every step takes leading batch
+axes, so a batch of images is encoded and pooled in one call.
+
+`scale_layout` is the one statement of that row layout: which rows of
+the stack belong to which scale.  The prompt's row metadata, the key
+alignment in training, and the drop-mask heatmaps all read it.
 """
 
 from __future__ import annotations
@@ -19,43 +22,76 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import FLOAT, ShapeError, avg_pool2d, concat_rows, load_tensor, max_pool2d, save_tensor
+from .tensor import FLOAT, ShapeError, avg_pool2d, load_tensor, max_pool2d, save_tensor
 
 GRID = 16
 SCALES = (1, 2, 4)
 POOLS = ("avg", "max")
 
 
+def scale_layout(scales) -> dict[int, slice]:
+    """Where each scale's rows sit in the prompt: {scale: rows}, in the caller's order.
+
+    Scale s contributes its (16/s)^2 pooled cells in raster order."""
+    layout, start = {}, 0
+    for s in map(int, scales):
+        layout[s] = slice(start, start + (GRID // s) ** 2)
+        start = layout[s].stop
+    return layout
+
+
 def prompt_rows(scales) -> int:
-    """Total prompt rows for a scale list: sum of (16/s)^2."""
-    return sum((GRID // s) ** 2 for s in scales)
+    """Total prompt rows for a scale list: sum of (16/s)^2, where the last scale's rows stop."""
+    return max((rows.stop for rows in scale_layout(scales).values()), default=0)
+
+
+def pool_scales(grid: np.ndarray, scales, pool: str = "avg") -> np.ndarray:
+    """Pool a (..., 16, 16, d) grid at each scale and stack the flattened results.
+
+    Scale s pools with a s x s kernel (s=1 passes through); the rows come
+    out as `scale_layout(scales)` says, giving (..., prompt_rows(scales), d).
+    """
+    scales = tuple(int(s) for s in scales)
+    if not scales:
+        raise ValueError("at least one scale is required")
+    if any(s not in SCALES for s in scales):
+        raise ValueError(f"scales must come from {SCALES}, got {scales}")
+    if len(set(scales)) != len(scales):
+        raise ValueError(f"duplicate scales in {scales}")
+    if pool not in POOLS:
+        raise ValueError(f"pool must be one of {POOLS}, got {pool!r}")
+    pool_fn = avg_pool2d if pool == "avg" else max_pool2d
+    lead, d = grid.shape[:-3], grid.shape[-1]
+    blocks = [(grid if s == 1 else pool_fn(grid, s)).reshape(*lead, -1, d) for s in scales]
+    return np.concatenate(blocks, axis=-2)
 
 
 @dataclass
 class EncoderOutput:
     """Frozen encoder result: per-patch features plus one global feature."""
 
-    patches: np.ndarray  # (256, d_in) raster order over the 16x16 grid
-    cls: np.ndarray  # (1, d_in)
+    patches: np.ndarray  # (..., 256, d_in) raster order over the 16x16 grid
+    cls: np.ndarray  # (..., 1, d_in)
 
     def __post_init__(self):
-        if self.patches.ndim != 2 or self.patches.shape[0] != GRID * GRID:
-            raise ShapeError(f"patches must be ({GRID * GRID}, d), got {self.patches.shape}")
-        if self.cls.shape != (1, self.patches.shape[1]):
-            raise ShapeError(f"cls must be (1, {self.patches.shape[1]}), got {self.cls.shape}")
+        if self.patches.ndim < 2 or self.patches.shape[-2] != GRID * GRID:
+            raise ShapeError(f"patches must be (..., {GRID * GRID}, d), got {self.patches.shape}")
+        expect = self.patches.shape[:-2] + (1, self.patches.shape[-1])
+        if self.cls.shape != expect:
+            raise ShapeError(f"cls must be {expect}, got {self.cls.shape}")
 
 
 @dataclass
 class MultiscalePrompt:
     """Stacked pooled feature rows plus per-row scale/position metadata."""
 
-    features: np.ndarray  # (n_rows, d_in)
-    scale_of_row: np.ndarray  # (n_rows,) int
+    features: np.ndarray  # (..., n_rows, d_in)
+    scale_of_row: np.ndarray  # (n_rows,) int, shared by every sample
     grid_pos_of_row: np.ndarray  # (n_rows, 2) int, (row, col) at that scale
     pool: str = "avg"
 
     def __post_init__(self):
-        n = self.features.shape[0]
+        n = self.features.shape[-2]
         if self.scale_of_row.shape != (n,) or self.grid_pos_of_row.shape != (n, 2):
             raise ShapeError(
                 f"metadata rows must match features ({n}), got "
@@ -64,7 +100,7 @@ class MultiscalePrompt:
 
     @property
     def n_rows(self) -> int:
-        return self.features.shape[0]
+        return self.features.shape[-2]
 
     @property
     def scales(self) -> tuple[int, ...]:
@@ -115,16 +151,18 @@ def synthetic_encoder(image: np.ndarray, d_out: int, seed: int) -> EncoderOutput
     """Deterministic stand-in for a frozen vision tower.
 
     patches = onehot_content @ W + position_code, with W drawn once from
-    the seed; cls = mean over the 256 patch rows.
+    the seed; cls = mean over the 256 patch rows.  `image` is one
+    (16, 16, c) grid or a batch (..., 16, 16, c) of them.
     """
-    if image.ndim != 3 or image.shape[:2] != (GRID, GRID):
-        raise ShapeError(f"image must be ({GRID}, {GRID}, c), got {image.shape}")
-    channels = image.shape[2]
+    if image.ndim < 3 or image.shape[-3:-1] != (GRID, GRID):
+        raise ShapeError(f"image must be (..., {GRID}, {GRID}, c), got {image.shape}")
+    channels = image.shape[-1]
     if d_out < channels:
         raise ValueError(f"d_out={d_out} must be at least the {channels} content channels")
-    content = np.asarray(image, dtype=FLOAT).reshape(GRID * GRID, channels)
-    patches = content @ _content_map(channels, d_out, seed) + position_code(d_out)
-    cls = np.mean(patches, axis=0, keepdims=True)
+    content = np.asarray(image, dtype=FLOAT).reshape(*image.shape[:-3], GRID * GRID, channels)
+    patches = content @ _content_map(channels, d_out, seed)
+    patches += position_code(d_out)  # in place: a batch's patches are large
+    cls = np.mean(patches, axis=-2, keepdims=True)
     return EncoderOutput(patches=patches, cls=cls)
 
 
@@ -141,51 +179,18 @@ def expected_cls(channels: int, d_out: int, seed: int) -> np.ndarray:
 def build_prompt(enc: EncoderOutput, scales=(1, 2), pool: str = "avg") -> MultiscalePrompt:
     """Pool the patch grid at each scale and stack the flattened results.
 
-    Scale s pools with a s x s kernel (s=1 passes through), so it
-    contributes (16/s)^2 rows; rows keep the caller's scale order.
+    Scale s contributes (16/s)^2 rows, in the caller's scale order (see
+    `pool_scales`); a batch of encoder outputs gives a batch of features
+    sharing one row metadata.
     """
-    scales = tuple(int(s) for s in scales)
-    if not scales:
-        raise ValueError("at least one scale is required")
-    if any(s not in SCALES for s in scales):
-        raise ValueError(f"scales must come from {SCALES}, got {scales}")
-    if len(set(scales)) != len(scales):
-        raise ValueError(f"duplicate scales in {scales}")
-    if pool not in POOLS:
-        raise ValueError(f"pool must be one of {POOLS}, got {pool!r}")
-    pool_fn = avg_pool2d if pool == "avg" else max_pool2d
-    d_in = enc.patches.shape[1]
-    grid = enc.patches.reshape(GRID, GRID, d_in)
-
-    blocks, scale_tags, grid_pos = [], [], []
-    for s in scales:
-        pooled = grid if s == 1 else pool_fn(grid, s)
-        side = GRID // s
-        blocks.append(pooled.reshape(side * side, d_in))
-        scale_tags.append(np.full(side * side, s, dtype=np.int64))
-        r, c = np.divmod(np.arange(side * side), side)
-        grid_pos.append(np.stack([r, c], axis=1))
-
-    features = blocks[0]
-    for block in blocks[1:]:
-        features = concat_rows(features, block)
-    return MultiscalePrompt(
-        features=features,
-        scale_of_row=np.concatenate(scale_tags),
-        grid_pos_of_row=np.concatenate(grid_pos),
-        pool=pool,
-    )
-
-
-def attach_cls(text_tokens: np.ndarray, cls_embedded: np.ndarray) -> np.ndarray:
-    """Prepend the embedded global token: exactly one extra row."""
-    if cls_embedded.ndim != 2 or cls_embedded.shape[0] != 1:
-        raise ShapeError(f"cls_embedded must be (1, d), got {cls_embedded.shape}")
-    if text_tokens.ndim != 2 or text_tokens.shape[1] != cls_embedded.shape[1]:
-        raise ShapeError(
-            f"text tokens {text_tokens.shape} incompatible with cls {cls_embedded.shape}"
-        )
-    return concat_rows(cls_embedded, text_tokens)
+    grid = enc.patches.reshape(*enc.patches.shape[:-2], GRID, GRID, enc.patches.shape[-1])
+    features = pool_scales(grid, scales, pool)
+    scale_of_row = np.zeros(features.shape[-2], dtype=np.int64)
+    grid_pos_of_row = np.zeros((features.shape[-2], 2), dtype=np.int64)
+    for s, rows in scale_layout(scales).items():
+        scale_of_row[rows] = s
+        grid_pos_of_row[rows] = np.stack(np.divmod(np.arange(rows.stop - rows.start), GRID // s), axis=1)
+    return MultiscalePrompt(features, scale_of_row, grid_pos_of_row, pool=pool)
 
 
 def save_prompt(path, prompt: MultiscalePrompt) -> None:

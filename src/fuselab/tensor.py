@@ -1,11 +1,13 @@
 """Dense float64 tensor kernels shared by every other module.
 
-All values are plain numpy arrays of rank 1-3, C-contiguous, dtype float64.
-The helpers here add strict shape checking, the activation kernels used as
-similarity projections, the 2-D pooling kernels, and the binary on-disk
-tensor format used by the CLI and checkpoints.  Activations act per
-sample -- softmax_rows over the last axis, silu_positive's shift over the
-last two -- so a batch (B, L, d) behaves like B rank-2 calls.
+All values are plain numpy arrays of dtype float64; `as_tensor` and the
+binary on-disk tensor format used by the CLI and checkpoints hold rank
+1-3.  The helpers here add strict shape checking, the activation kernels
+used as similarity projections, and the 2-D pooling kernels.  The kernels
+take leading batch axes: activations act per sample -- softmax_rows over
+the last axis, silu_positive's shift over the last two -- so a batch
+(B, L, d) behaves like B rank-2 calls, and pooling acts on the trailing
+(h, w, c) grid of each sample.
 
 Everything is a pure function: inputs are never mutated and identical
 inputs produce bit-identical outputs.
@@ -131,37 +133,26 @@ def activation_vjp(x: np.ndarray, grad_out: np.ndarray, kind: str) -> np.ndarray
     raise ValueError(f"unknown activation kind {kind!r}; expected one of {ACTIVATIONS}")
 
 
-def _check_pool_args(grid: np.ndarray, k: int) -> None:
-    if grid.ndim != 3:
-        raise ShapeError(f"pooling needs a (h, w, c) grid, got shape {grid.shape}")
-    h, w, _ = grid.shape
+def _pool_windows(grid: np.ndarray, k: int) -> np.ndarray:
+    """View a (..., h, w, c) grid as (..., h/k, k, w/k, k, c) windows."""
+    if grid.ndim < 3:
+        raise ShapeError(f"pooling needs a (..., h, w, c) grid, got shape {grid.shape}")
+    *lead, h, w, c = grid.shape
     if k < 1:
         raise ShapeError(f"pooling kernel must be positive, got {k}")
     if h % k or w % k:
         raise ShapeError(f"kernel {k} does not divide grid {h}x{w}")
+    return grid.reshape(*lead, h // k, k, w // k, k, c)
 
 
 def avg_pool2d(grid: np.ndarray, k: int) -> np.ndarray:
-    """Mean over non-overlapping k x k windows of an (h, w, c) grid."""
-    _check_pool_args(grid, k)
-    h, w, c = grid.shape
-    return grid.reshape(h // k, k, w // k, k, c).mean(axis=(1, 3))
+    """Mean over non-overlapping k x k windows of a (..., h, w, c) grid."""
+    return _pool_windows(grid, k).mean(axis=(-4, -2))
 
 
 def max_pool2d(grid: np.ndarray, k: int) -> np.ndarray:
-    """Max over non-overlapping k x k windows of an (h, w, c) grid."""
-    _check_pool_args(grid, k)
-    h, w, c = grid.shape
-    return grid.reshape(h // k, k, w // k, k, c).max(axis=(1, 3))
-
-
-def concat_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stack two matrices vertically; column counts must agree."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"concat_rows needs rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[1]:
-        raise ShapeError(f"concat_rows column counts differ: {a.shape} vs {b.shape}")
-    return np.concatenate([a, b], axis=0)
+    """Max over non-overlapping k x k windows of a (..., h, w, c) grid."""
+    return _pool_windows(grid, k).max(axis=(-4, -2))
 
 
 # --- binary tensor file format -------------------------------------------

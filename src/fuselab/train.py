@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import GridVqaDataset, encode_batch, question_tokens, vocab_size
 from .model import DecoderModel
-from .prompt import GRID, expected_cls
+from .prompt import GRID, expected_cls, pool_scales
 
 BASE_LR = 9e-3
 MOMENTUM = 0.9
@@ -45,13 +45,7 @@ def align_visual_keys(model: DecoderModel, *, channels: int, encoder_seed: int |
     tap = model.query_tap(tokens, cls_raw)
     question_taps = tap[:, 1:, :]  # both question positions, cls position excluded
     centered = (question_taps - question_taps.mean(axis=0, keepdims=True)).sum(axis=1)
-    centered = centered.reshape(GRID, GRID, -1)
-    blocks = []
-    for s in cfg.scales:
-        side = GRID // s
-        pooled = centered.reshape(side, s, side, s, -1).mean(axis=(1, 3))
-        blocks.append(pooled.reshape(side * side, -1))
-    model.fusion.pos_embed[:] = gain * np.concatenate(blocks, axis=0)
+    model.fusion.pos_embed[:] = gain * pool_scales(centered.reshape(GRID, GRID, -1), cfg.scales, "avg")
     return model
 
 

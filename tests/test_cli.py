@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from fuselab.cli import main
+from fuselab.data import gen_dataset
+from fuselab.experiment import drop_heatmap
+from fuselab.model import DecoderModel, ModelConfig, load_checkpoint, save_checkpoint
 from fuselab.prompt import load_prompt
 
 
@@ -147,6 +150,31 @@ class TestHeatmapCommand:
         assert grid.shape == (16, 16)
         payload = json.loads((hm_dir / "heatmap.json").read_text())
         assert payload["gamma"] == 0.2
+
+    def test_counts_match_the_runs_own_test_set(self, tiny_config_file, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", str(tiny_config_file), "--out", str(run_dir)]) == 0
+        hm_dir = tmp_path / "hm"
+        assert main(["heatmap", "--checkpoint", str(run_dir / "checkpoint"), "--samples", "16", "--out", str(hm_dir)]) == 0
+        capsys.readouterr()
+        payload = json.loads((hm_dir / "heatmap.json").read_text())
+        model, _, _ = load_checkpoint(run_dir / "checkpoint")
+        _, test_set = gen_dataset(3, n_train=64, n_test=32)  # the run's seed and n_test
+        expect = drop_heatmap(model, test_set, encoder_seed=3, n_samples=16)
+        for scale, counts in expect.counts.items():
+            np.testing.assert_array_equal(payload["grids"][str(scale)]["counts"], counts)
+        assert payload["queried_top_decile_rate"] == expect.queried_top_decile_rate
+        # with the default sample count the CLI reproduces the run's own report
+        assert main(["heatmap", "--checkpoint", str(run_dir / "checkpoint"), "--out", str(tmp_path / "all")]) == 0
+        capsys.readouterr()
+        full = json.loads((tmp_path / "all" / "heatmap.json").read_text())
+        assert full == json.loads((run_dir / "report.json").read_text())["heatmaps"]
+
+    def test_checkpoint_without_run_config_structured_error(self, tmp_path, capsys):
+        save_checkpoint(tmp_path / "bare", DecoderModel.build(ModelConfig()))
+        assert main(["heatmap", "--checkpoint", str(tmp_path / "bare")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "run config" in err["message"]
 
     def test_missing_checkpoint_structured_error(self, capsys):
         assert main(["heatmap", "--checkpoint", "/no/such/ckpt"]) == 1

@@ -1,5 +1,7 @@
 """Tests for the grid lookup task generator and batch encoding."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from fuselab.data import (
     question_tokens,
     vocab_size,
 )
-from fuselab.prompt import attach_cls, build_prompt, synthetic_encoder
+from fuselab.prompt import build_prompt, synthetic_encoder
 
 
 class TestVocabLayout:
@@ -116,12 +118,17 @@ class TestEncodeBatch:
 
     def test_matches_per_sample_pipeline(self):
         train, _ = gen_dataset(0, n_train=8, n_test=8)
-        _, feats, cls_rows, _ = encode_batch(train, [2], 32, encoder_seed=9, scales=(1, 2))
+        idx = [2, 0, 7, 2]
         eye = np.eye(8)
-        enc = synthetic_encoder(eye[train.images[2]], 32, 9)
-        prompt = build_prompt(enc, scales=(1, 2))
-        np.testing.assert_array_equal(feats[0], prompt.features)
-        np.testing.assert_array_equal(cls_rows[0], enc.cls)
+        for n in (1, 2, 3):
+            for scales in permutations((1, 2, 4), n):
+                for pool in ("avg", "max"):
+                    _, feats, cls_rows, _ = encode_batch(train, idx, 32, encoder_seed=9, scales=scales, pool=pool)
+                    for row, i in enumerate(idx):
+                        enc = synthetic_encoder(eye[train.images[i]], 32, 9)
+                        prompt = build_prompt(enc, scales=scales, pool=pool)
+                        np.testing.assert_array_equal(feats[row], prompt.features)
+                        np.testing.assert_array_equal(cls_rows[row], enc.cls)
 
     def test_rows_independent_of_batch_composition(self):
         train, _ = gen_dataset(0, n_train=8, n_test=8)
@@ -134,11 +141,3 @@ class TestEncodeBatch:
         train, _ = gen_dataset(0, n_train=4, n_test=4)
         _, feats, _, _ = encode_batch(train, [0], 32, encoder_seed=0, scales=(1, 2, 4))
         assert feats.shape[1] == 336
-
-    def test_cls_attaches_consistently(self):
-        train, _ = gen_dataset(0, n_train=4, n_test=4)
-        tokens, feats, cls_rows, _ = encode_batch(train, [1], 32, encoder_seed=0)
-        eye = np.eye(8)
-        enc = synthetic_encoder(eye[train.images[1]], 32, 0)
-        fused_stream = attach_cls(np.zeros((2, 32)), cls_rows[0])
-        np.testing.assert_array_equal(fused_stream[0], enc.cls[0])

@@ -201,6 +201,14 @@ class TestDropHeatmap:
         assert report.queried_top_decile_rate is None
         assert set(report.freq) == {2, 4}
 
+    @pytest.mark.parametrize("n_samples", [0, -5])
+    def test_non_positive_sample_count_rejected(self, n_samples):
+        cfg = tiny_config()
+        _, test_set = gen_dataset(cfg.seed, 4, 16, cfg.channels)
+        model = DecoderModel.build(cfg.model_config())
+        with pytest.raises(ValueError, match="at least one sample"):
+            drop_heatmap(model, test_set, n_samples=n_samples)
+
     def test_batching_invariant(self):
         cfg = tiny_config()
         _, test_set = gen_dataset(cfg.seed, 4, 32, cfg.channels)

@@ -9,7 +9,6 @@ from fuselab.prompt import (
     GRID,
     EncoderOutput,
     MultiscalePrompt,
-    attach_cls,
     build_prompt,
     load_prompt,
     position_code,
@@ -112,14 +111,17 @@ class TestBuildPrompt:
 
     @pytest.mark.parametrize("pool", ["avg", "max"])
     def test_pooled_rows_match_window_oracle(self, enc, pool):
-        prompt = build_prompt(enc, scales=(1, 2, 4), pool=pool)
-        grid = enc.patches.reshape(GRID, GRID, -1)
+        batch = synthetic_encoder(np.stack([one_hot_image(seed) for seed in (5, 8, 9)]), 32, seed=6)
         oracle = avg_pool_windows if pool == "avg" else max_pool_windows
-        for s in (2, 4):
-            rows = prompt.rows_for_scale(s)
-            expect = np.asarray(oracle(grid, s)).reshape(len(rows), -1)
-            tol = 1e-12 if pool == "avg" else 0.0
-            np.testing.assert_allclose(prompt.features[rows], expect, atol=tol)
+        tol = 1e-12 if pool == "avg" else 0.0
+        for e in (enc, batch):
+            prompt = build_prompt(e, scales=(1, 2, 4), pool=pool)
+            for feats, patches in zip(prompt.features.reshape(-1, 336, 32), e.patches.reshape(-1, 256, 32)):
+                grid = patches.reshape(GRID, GRID, -1)
+                for s in (2, 4):
+                    rows = prompt.rows_for_scale(s)
+                    expect = np.asarray(oracle(grid, s)).reshape(len(rows), -1)
+                    np.testing.assert_allclose(feats[rows], expect, atol=tol)
 
     def test_metadata_reconstructs_grids(self, enc):
         prompt = build_prompt(enc, scales=(1, 2, 4))
@@ -166,32 +168,6 @@ class TestBuildPrompt:
                 scale_of_row=np.zeros(9, dtype=np.int64),
                 grid_pos_of_row=np.zeros((10, 2), dtype=np.int64),
             )
-
-
-class TestAttachCls:
-    def test_empty_text(self):
-        cls = np.array([[1.0, 2.0, 3.0]])
-        out = attach_cls(np.zeros((0, 3)), cls)
-        np.testing.assert_array_equal(out, cls)
-
-    def test_prepend_preserves_order(self):
-        text = np.arange(12.0).reshape(4, 3)
-        cls = np.full((1, 3), -1.0)
-        out = attach_cls(text, cls)
-        assert out.shape == (5, 3)
-        np.testing.assert_array_equal(out[0], cls[0])
-        np.testing.assert_array_equal(out[1:], text)
-
-    @pytest.mark.parametrize("t", [0, 1, 7])
-    def test_grows_by_exactly_one(self, t):
-        out = attach_cls(np.zeros((t, 4)), np.zeros((1, 4)))
-        assert out.shape[0] == t + 1
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            attach_cls(np.zeros((2, 3)), np.zeros((1, 4)))
-        with pytest.raises(ShapeError):
-            attach_cls(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
 class TestPromptSerialization:

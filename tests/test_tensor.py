@@ -17,7 +17,6 @@ from fuselab.tensor import (
     activation_vjp,
     as_tensor,
     avg_pool2d,
-    concat_rows,
     load_tensor,
     max_pool2d,
     save_tensor,
@@ -152,6 +151,9 @@ class TestPooling:
         grid = rng(11).normal(size=(16, 16, 3))
         np.testing.assert_array_equal(avg_pool2d(grid, k), avg_pool_windows(grid, k))
         np.testing.assert_array_equal(max_pool2d(grid, k), max_pool_windows(grid, k))
+        batch = rng(12).normal(size=(4, 16, 16, 3))  # a batch pools like one rank-3 call per grid
+        for pool in (avg_pool2d, max_pool2d):
+            assert pool(batch, k).tobytes() == np.stack([pool(g, k) for g in batch]).tobytes()
 
     def test_non_divisible_kernel_rejected(self):
         with pytest.raises(ShapeError):
@@ -165,18 +167,6 @@ class TestPooling:
 
 
 class TestPlumbingOps:
-    def test_concat_rows_counts(self):
-        out = concat_rows(np.zeros((256, 8)), np.zeros((64, 8)))
-        assert out.shape == (320, 8)
-
-    def test_concat_rows_order(self):
-        top, bottom = np.ones((2, 3)), np.full((1, 3), 5.0)
-        np.testing.assert_array_equal(concat_rows(top, bottom)[2], [5.0, 5.0, 5.0])
-
-    def test_concat_rows_width_mismatch(self):
-        with pytest.raises(ShapeError):
-            concat_rows(np.zeros((2, 3)), np.zeros((2, 4)))
-
     def test_as_tensor_dtype_and_rank_cap(self):
         assert as_tensor([1, 2]).dtype == FLOAT
         with pytest.raises(ShapeError):
