@@ -34,7 +34,7 @@ from .experiment import (
 )
 from .flops import flops
 from .model import load_checkpoint
-from .prompt import build_prompt, save_prompt, synthetic_encoder
+from .prompt import build_prompt, save_prompt, scale_layout, synthetic_encoder
 from .tensor import ShapeError
 
 ENV_SEED = "ADEMVL_SEED"
@@ -163,11 +163,11 @@ def _cmd_dump_prompt(args) -> int:
     image = np.eye(args.channels)[rng.integers(0, args.channels, size=(16, 16))]
     enc = synthetic_encoder(image, args.d_in, seed)
     prompt = build_prompt(enc, scales=tuple(args.scales), pool=args.pool)
-    print(f"seed {seed}: {prompt.n_rows} rows over scales {prompt.scales}, pool {prompt.pool}")
-    for scale in prompt.scales:
-        rows = prompt.rows_for_scale(scale)
+    layout = scale_layout(args.scales)
+    print(f"seed {seed}: {prompt.n_rows} rows over scales {tuple(layout)}, pool {prompt.pool}")
+    for scale, rows in layout.items():
         norms = np.linalg.norm(prompt.features[rows], axis=1)
-        print(f"  scale {scale}: rows {rows[0]}..{rows[-1]}, |row| mean {norms.mean():.3f} max {norms.max():.3f}")
+        print(f"  scale {scale}: rows {rows.start}..{rows.stop - 1}, |row| mean {norms.mean():.3f} max {norms.max():.3f}")
     print(f"  cls |row| {np.linalg.norm(enc.cls):.3f}")
     if args.out:
         save_prompt(args.out, prompt)

@@ -32,34 +32,6 @@ def question_tokens(row, col, channels: int):
     return np.stack(np.broadcast_arrays(channels + np.asarray(row), channels + N_ROW_TOKENS + np.asarray(col)), axis=-1)
 
 
-def decode_question(question, channels: int):
-    """Inverse of question_tokens: (row, col) cell coordinates."""
-    question = np.asarray(question)
-    return question[..., 0] - channels, question[..., 1] - channels - N_ROW_TOKENS
-
-
-@dataclass
-class GridVqaSample:
-    image: np.ndarray  # (16, 16) color ids in [0, channels)
-    question: np.ndarray  # (2,) tokens naming the query cell
-    answer: int
-    channels: int
-
-    def __post_init__(self):
-        if self.image.shape != (GRID, GRID):
-            raise ValueError(f"image must be ({GRID}, {GRID}), got {self.image.shape}")
-        row, col = self.query_cell
-        if not (0 <= row < GRID and 0 <= col < GRID):
-            raise ValueError(f"question {self.question} decodes to out-of-grid cell ({row}, {col})")
-        if self.image[row, col] != self.answer:
-            raise ValueError(f"answer {self.answer} does not match cell ({row}, {col})")
-
-    @property
-    def query_cell(self) -> tuple[int, int]:
-        row, col = decode_question(self.question, self.channels)
-        return int(row), int(col)
-
-
 @dataclass
 class GridVqaDataset:
     images: np.ndarray  # (n, 16, 16) color ids
@@ -83,14 +55,6 @@ class GridVqaDataset:
     def tokens(self, idx=None) -> np.ndarray:
         q = self.queries if idx is None else self.queries[idx]
         return question_tokens(q[:, 0], q[:, 1], self.channels)
-
-    def sample(self, i: int) -> GridVqaSample:
-        return GridVqaSample(
-            image=self.images[i],
-            question=self.tokens([i])[0],
-            answer=int(self.answers[i]),
-            channels=self.channels,
-        )
 
 
 def _draw(rng: np.random.Generator, n: int, channels: int):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from .data import GridVqaDataset, encode_batch, gen_dataset, vocab_size
 from .flops import FlopsReport, flops
 from .fusion import FusionParams, drop_count, fuse_backward, fuse_forward
-from .model import DecoderModel, ModelConfig, legal_placements, save_checkpoint
+from .model import DecoderModel, FlatConfig, ModelConfig, legal_placements, save_checkpoint
 from .prompt import GRID, scale_layout
 from .tensor import ACTIVATIONS
 from .train import BASE_LR, KEY_GAIN, align_visual_keys, train_model
@@ -29,23 +29,33 @@ from .train import BASE_LR, KEY_GAIN, align_visual_keys, train_model
 HEATMAP_SAMPLES = 256
 
 
-@dataclass
-class ExperimentConfig:
-    """One training run, fully determined: architecture, task, optimizer."""
+# every ModelConfig field but vocab_size, which a run derives from its channels
+_MODEL_FIELDS = tuple(f for f in fields(ModelConfig) if f.name != "vocab_size")
 
-    # architecture / fusion
-    n_blocks: int = 2
-    d_model: int = 64
-    d_in: int = 32
-    rank: int = 8
-    max_seq: int = 8
-    placement: tuple = ("mlp_in", "mlp_out")
-    alpha: float = 0.1
-    beta: float = 0.01
-    gamma: float = 0.2
-    phi: str = "silu"
-    scales: tuple = (1, 2)
-    pool: str = "avg"
+
+def _model_fields_first(cls):
+    """Make cls a dataclass of ModelConfig's fields, then its own, then seed.
+
+    Each ModelConfig field keeps its place and its ModelConfig default,
+    unless cls restates the field with a default of its own."""
+    for f in _MODEL_FIELDS:
+        if f.name not in vars(cls):
+            setattr(cls, f.name, field(default=f.default, default_factory=f.default_factory))
+    types = {f.name: f.type for f in _MODEL_FIELDS}
+    seed = types.pop("seed")
+    cls.__annotations__ = {**types, **cls.__annotations__, "seed": seed}
+    return dataclass(cls)
+
+
+@_model_fields_first
+class ExperimentConfig(FlatConfig):
+    """One training run, fully determined: architecture, task, optimizer.
+
+    The architecture and fusion fields are ModelConfig's, less vocab_size,
+    which follows from channels.  Only two defaults differ from
+    ModelConfig's: a run starts from a stronger positional code
+    (pos_scale) and value pair (b_scale)."""
+
     pos_scale: float = 0.3
     b_scale: float = 1.0
     # task
@@ -58,46 +68,14 @@ class ExperimentConfig:
     base_lr: float = BASE_LR
     align_keys: bool = True
     key_gain: float = KEY_GAIN
-    seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.placement, list):
-            self.placement = tuple(self.placement)
-        self.scales = tuple(int(s) for s in self.scales)
+        model = self.model_config()  # checks and normalizes every field the two share
+        self.placement, self.scales = model.placement, model.scales
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            n_blocks=self.n_blocks,
-            d_model=self.d_model,
-            d_in=self.d_in,
-            rank=self.rank,
-            vocab_size=vocab_size(self.channels),
-            max_seq=self.max_seq,
-            placement=self.placement,
-            alpha=self.alpha,
-            beta=self.beta,
-            gamma=self.gamma,
-            phi=self.phi,
-            scales=self.scales,
-            pool=self.pool,
-            pos_scale=self.pos_scale,
-            b_scale=self.b_scale,
-            seed=self.seed,
-        )
-
-    def to_dict(self) -> dict:
-        d = dict(vars(self))
-        d["placement"] = list(self.placement)
-        d["scales"] = list(self.scales)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown config keys {sorted(unknown)}; expected a subset of {sorted(known)}")
-        return cls(**d)
+        shared = {f.name: getattr(self, f.name) for f in _MODEL_FIELDS}
+        return ModelConfig(vocab_size=vocab_size(self.channels), **shared)
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -350,7 +328,7 @@ def _pooling_rows():
 ABLATION_AXES = {
     "projection": lambda: [({"phi": kind}, f"phi={kind}") for kind in ACTIVATIONS],
     "placement": lambda: [
-        ({"placement": p.as_tuple()}, f"{p.query_from}->{p.add_to}") for p in legal_placements()
+        ({"placement": p}, f"{p.query_from}->{p.add_to}") for p in legal_placements()
     ],
     "pooling": _pooling_rows,
     "alpha": lambda: [({"alpha": v}, f"alpha={v}") for v in (0.01, 0.05, 0.1, 0.2, 0.5)],
@@ -440,6 +418,8 @@ def gradcheck_report(seed: int = 0, trials: int = 20, tolerance: float = 1e-4) -
     {0, 0.2}, then compares every input gradient of the fused delta
     under a fixed random upstream weighting.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rows = []
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence((seed, trial)))

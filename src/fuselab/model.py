@@ -23,13 +23,13 @@ frozen base contributes vector-Jacobian products but receives no updates.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .fusion import FusionParams, low_rank_vjp, site_backward, site_forward, visual_values
-from .prompt import prompt_rows
+from .prompt import check_prompt, prompt_rows
 from .tensor import FLOAT, ShapeError, activation, activation_vjp, load_tensor, save_tensor, sigmoid, silu_grad, softmax_rows
 
 LN_EPS = 1e-5
@@ -69,9 +69,36 @@ def legal_placements() -> tuple[PlacementConfig, ...]:
     return tuple(PlacementConfig(q, a) for q, a in LEGAL_PLACEMENTS)
 
 
+class FlatConfig:
+    """The flat JSON form of a config dataclass, one key per field in declaration order.
+
+    Tuples and placements are lists in JSON; the dataclass's own
+    __post_init__ turns them back."""
+
+    def to_dict(self) -> dict:
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        known = {f.name for f in fields(cls)}
+        unknown = set(d) - known
+        if unknown:
+            raise ValueError(f"unknown config keys {sorted(unknown)}; expected a subset of {sorted(known)}")
+        return cls(**d)
+
+
+def _json_value(value):
+    if isinstance(value, PlacementConfig):
+        value = value.as_tuple()
+    return list(value) if isinstance(value, tuple) else value
+
+
 @dataclass
-class ModelConfig:
-    """Architecture plus fusion hyperparameters; seed fixes every weight."""
+class ModelConfig(FlatConfig):
+    """Architecture plus fusion hyperparameters; seed fixes every weight.
+
+    Construction rejects what cannot be built: an illegal placement, a
+    non-positive size, or a prompt that `check_prompt` refuses."""
 
     n_blocks: int = 2
     d_model: int = 64
@@ -93,7 +120,7 @@ class ModelConfig:
     def __post_init__(self):
         if isinstance(self.placement, (tuple, list)):
             self.placement = PlacementConfig(*self.placement)
-        self.scales = tuple(int(s) for s in self.scales)
+        self.scales = check_prompt(self.scales, self.pool)
         for name in ("n_blocks", "d_model", "d_in", "rank", "vocab_size", "max_seq"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -101,33 +128,6 @@ class ModelConfig:
     @property
     def n_rows(self) -> int:
         return prompt_rows(self.scales)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_blocks": self.n_blocks,
-            "d_model": self.d_model,
-            "d_in": self.d_in,
-            "rank": self.rank,
-            "vocab_size": self.vocab_size,
-            "max_seq": self.max_seq,
-            "placement": list(self.placement.as_tuple()),
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "phi": self.phi,
-            "scales": list(self.scales),
-            "pool": self.pool,
-            "pos_scale": self.pos_scale,
-            "b_scale": self.b_scale,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["placement"] = PlacementConfig(*d["placement"])
-        d["scales"] = tuple(d["scales"])
-        return cls(**d)
 
 
 @dataclass
@@ -477,6 +477,7 @@ class DecoderModel:
 # checkpoints: one binary tensor file per weight plus a JSON manifest
 
 MANIFEST_NAME = "manifest.json"
+CHECKPOINT_FORMAT = 1  # a manifest without "format" predates the key and is format 1
 
 
 def _all_tensors(model: DecoderModel) -> dict[str, np.ndarray]:
@@ -496,6 +497,7 @@ def save_checkpoint(directory, model: DecoderModel, *, step: int = 0, metrics: d
         save_tensor(directory / fname, t)
         files[name] = {"file": fname, "shape": list(t.shape)}
     manifest = {
+        "format": CHECKPOINT_FORMAT,
         "config": model.config.to_dict(),
         "step": step,
         "metrics": metrics or {},
@@ -508,11 +510,15 @@ def save_checkpoint(directory, model: DecoderModel, *, step: int = 0, metrics: d
 def load_checkpoint(directory):
     """Rebuild (model, step, metrics) with bit-identical tensors.
 
-    The manifest must list exactly the model's tensors: a missing one
-    would otherwise keep its seed init and load silently.
+    The manifest must be of CHECKPOINT_FORMAT, its config must build, and
+    it must list exactly the model's tensors: a missing one would
+    otherwise keep its seed init and load silently.
     """
     directory = Path(directory)
     manifest = json.loads((directory / MANIFEST_NAME).read_text())
+    version = manifest.get("format", 1)
+    if version != CHECKPOINT_FORMAT:
+        raise ValueError(f"checkpoint format {version!r} cannot be read; this version reads format {CHECKPOINT_FORMAT}")
     config = ModelConfig.from_dict(manifest["config"])
     model = DecoderModel.build(config)
     tensors = _all_tensors(model)

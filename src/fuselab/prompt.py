@@ -11,6 +11,9 @@ axes, so a batch of images is encoded and pooled in one call.
 `scale_layout` is the one statement of that row layout: which rows of
 the stack belong to which scale.  The prompt's row metadata, the key
 alignment in training, and the drop-mask heatmaps all read it.
+`check_prompt` is the one statement of which scales and pools can be
+built: `ModelConfig` applies it when a config is made, `pool_scales`
+before it pools.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import FLOAT, ShapeError, avg_pool2d, load_tensor, max_pool2d, save_tensor
+from .tensor import FLOAT, ShapeError, avg_pool2d, max_pool2d, save_tensor
 
 GRID = 16
 SCALES = (1, 2, 4)
@@ -45,12 +48,11 @@ def prompt_rows(scales) -> int:
     return max((rows.stop for rows in scale_layout(scales).values()), default=0)
 
 
-def pool_scales(grid: np.ndarray, scales, pool: str = "avg") -> np.ndarray:
-    """Pool a (..., 16, 16, d) grid at each scale and stack the flattened results.
+def check_prompt(scales, pool: str) -> tuple[int, ...]:
+    """Reject a prompt that cannot be built; return its scales as a tuple of ints.
 
-    Scale s pools with a s x s kernel (s=1 passes through); the rows come
-    out as `scale_layout(scales)` says, giving (..., prompt_rows(scales), d).
-    """
+    A prompt needs at least one scale, each from SCALES and none twice,
+    and a pool from POOLS."""
     scales = tuple(int(s) for s in scales)
     if not scales:
         raise ValueError("at least one scale is required")
@@ -60,6 +62,16 @@ def pool_scales(grid: np.ndarray, scales, pool: str = "avg") -> np.ndarray:
         raise ValueError(f"duplicate scales in {scales}")
     if pool not in POOLS:
         raise ValueError(f"pool must be one of {POOLS}, got {pool!r}")
+    return scales
+
+
+def pool_scales(grid: np.ndarray, scales, pool: str = "avg") -> np.ndarray:
+    """Pool a (..., 16, 16, d) grid at each scale and stack the flattened results.
+
+    Scale s pools with a s x s kernel (s=1 passes through); the rows come
+    out as `scale_layout(scales)` says, giving (..., prompt_rows(scales), d).
+    """
+    scales = check_prompt(scales, pool)
     pool_fn = avg_pool2d if pool == "avg" else max_pool2d
     lead, d = grid.shape[:-3], grid.shape[-1]
     blocks = [(grid if s == 1 else pool_fn(grid, s)).reshape(*lead, -1, d) for s in scales]
@@ -101,17 +113,6 @@ class MultiscalePrompt:
     @property
     def n_rows(self) -> int:
         return self.features.shape[-2]
-
-    @property
-    def scales(self) -> tuple[int, ...]:
-        seen = []
-        for s in self.scale_of_row:
-            if s not in seen:
-                seen.append(int(s))
-        return tuple(seen)
-
-    def rows_for_scale(self, scale: int) -> np.ndarray:
-        return np.flatnonzero(self.scale_of_row == scale)
 
 
 def _coord_code(positions: np.ndarray, width: int) -> np.ndarray:
@@ -204,14 +205,3 @@ def save_prompt(path, prompt: MultiscalePrompt) -> None:
     }
     path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar))
 
-
-def load_prompt(path) -> MultiscalePrompt:
-    path = Path(path)
-    features = load_tensor(path)
-    sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    return MultiscalePrompt(
-        features=features,
-        scale_of_row=np.asarray(sidecar["scale_of_row"], dtype=np.int64),
-        grid_pos_of_row=np.asarray(sidecar["grid_pos_of_row"], dtype=np.int64),
-        pool=sidecar["pool"],
-    )

@@ -226,6 +226,7 @@ def text_only_run():
     return _run(replace(ExperimentConfig(), alpha=0.0), "text-only", 64)
 
 
+@pytest.mark.slow
 def test_end_to_end_learning_signal(fused_run, text_only_run):
     fused, _ = fused_run
     text_only, _ = text_only_run
@@ -248,6 +249,7 @@ def test_end_to_end_learning_signal(fused_run, text_only_run):
 # ---------------------------------------------------------------- sweeps
 
 
+@pytest.mark.slow
 def test_ablation_structure():
     base = ExperimentConfig(
         d_model=32, d_in=16, rank=4, n_train=512, n_test=128, steps=60, batch_size=32
@@ -281,6 +283,7 @@ def test_ablation_structure():
 # ---------------------------------------------------------------- heatmaps
 
 
+@pytest.mark.slow
 def test_heatmap_conservation(fused_run):
     report, _ = fused_run
     hm = report.heatmaps

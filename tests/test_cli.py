@@ -9,7 +9,7 @@ from fuselab.cli import main
 from fuselab.data import gen_dataset
 from fuselab.experiment import drop_heatmap
 from fuselab.model import DecoderModel, ModelConfig, load_checkpoint, save_checkpoint
-from fuselab.prompt import load_prompt
+from fuselab.tensor import load_tensor
 
 
 @pytest.fixture()
@@ -65,6 +65,11 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "gradcheck PASS" in out
         assert out.count("trial") == 3
+
+    def test_zero_trials_structured_error(self, capsys):
+        assert main(["gradcheck", "--trials", "0"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and err["message"] == "trials must be at least 1, got 0"
 
 
 class TestTrainCommand:
@@ -176,6 +181,16 @@ class TestHeatmapCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError" and "run config" in err["message"]
 
+    def test_unknown_manifest_config_key_structured_error(self, tmp_path, capsys):
+        save_checkpoint(tmp_path / "ck", DecoderModel.build(ModelConfig()))
+        mpath = tmp_path / "ck" / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        manifest["config"]["n_heads"] = 4
+        mpath.write_text(json.dumps(manifest))
+        assert main(["heatmap", "--checkpoint", str(tmp_path / "ck")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "n_heads" in err["message"]
+
     def test_missing_checkpoint_structured_error(self, capsys):
         assert main(["heatmap", "--checkpoint", "/no/such/ckpt"]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
@@ -187,9 +202,9 @@ class TestDumpPromptCommand:
         assert main(["dump-prompt", "--seed", "5", "--out", str(out)]) == 0
         stdout = capsys.readouterr().out
         assert "320 rows" in stdout
-        prompt = load_prompt(out)
-        assert prompt.n_rows == 320
-        assert prompt.scales == (1, 2)
+        assert load_tensor(out).shape == (320, 32)
+        sidecar = json.loads(out.with_suffix(".admt.json").read_text())
+        assert sidecar["scale_of_row"] == [1] * 256 + [2] * 64
 
     def test_env_seed_override(self, capsys, monkeypatch):
         monkeypatch.setenv("ADEMVL_SEED", "9")

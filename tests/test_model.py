@@ -82,6 +82,10 @@ class TestModelConfig:
         back = ModelConfig.from_dict(cfg.to_dict())
         assert back == cfg
 
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ValueError, match="unknown config keys"):
+            ModelConfig.from_dict({**tiny_config().to_dict(), "n_heads": 4})
+
     def test_placement_tuple_coerced(self):
         cfg = tiny_config(placement=("mhsa_out", "mhsa_out"))
         assert isinstance(cfg.placement, PlacementConfig)
@@ -294,4 +298,16 @@ class TestCheckpoint:
         del manifest["tensors"]["fusion.b_feat"]
         mpath.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="fusion.b_feat"):
+            load_checkpoint(tmp_path / "ck")
+
+    def test_other_format_rejected(self, tmp_path):
+        import json
+
+        save_checkpoint(tmp_path / "ck", DecoderModel.build(tiny_config()))
+        mpath = tmp_path / "ck" / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        assert manifest["format"] == 1
+        manifest["format"] = 2
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="format 2 cannot be read; this version reads format 1"):
             load_checkpoint(tmp_path / "ck")

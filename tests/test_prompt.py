@@ -1,5 +1,6 @@
 """Tests for the synthetic encoder and multiscale prompt builder."""
 
+import json
 from itertools import chain, combinations, permutations
 
 import numpy as np
@@ -10,13 +11,12 @@ from fuselab.prompt import (
     EncoderOutput,
     MultiscalePrompt,
     build_prompt,
-    load_prompt,
     position_code,
     prompt_rows,
     save_prompt,
     synthetic_encoder,
 )
-from fuselab.tensor import ShapeError
+from fuselab.tensor import ShapeError, load_tensor
 
 from .oracles import avg_pool_windows, max_pool_windows
 
@@ -119,7 +119,7 @@ class TestBuildPrompt:
             for feats, patches in zip(prompt.features.reshape(-1, 336, 32), e.patches.reshape(-1, 256, 32)):
                 grid = patches.reshape(GRID, GRID, -1)
                 for s in (2, 4):
-                    rows = prompt.rows_for_scale(s)
+                    rows = np.flatnonzero(prompt.scale_of_row == s)
                     expect = np.asarray(oracle(grid, s)).reshape(len(rows), -1)
                     np.testing.assert_allclose(feats[rows], expect, atol=tol)
 
@@ -127,7 +127,7 @@ class TestBuildPrompt:
         prompt = build_prompt(enc, scales=(1, 2, 4))
         for s in (1, 2, 4):
             side = GRID // s
-            rows = prompt.rows_for_scale(s)
+            rows = np.flatnonzero(prompt.scale_of_row == s)
             rebuilt = np.zeros((side, side, enc.patches.shape[1]))
             for row in rows:
                 r, c = prompt.grid_pos_of_row[row]
@@ -177,8 +177,8 @@ class TestPromptSerialization:
         path = tmp_path / "prompt.admt"
         save_prompt(path, prompt)
         assert path.exists() and path.with_suffix(".admt.json").exists()
-        back = load_prompt(path)
-        np.testing.assert_array_equal(back.features, prompt.features)
-        np.testing.assert_array_equal(back.scale_of_row, prompt.scale_of_row)
-        np.testing.assert_array_equal(back.grid_pos_of_row, prompt.grid_pos_of_row)
-        assert back.pool == "max"
+        np.testing.assert_array_equal(load_tensor(path), prompt.features)
+        sidecar = json.loads(path.with_suffix(".admt.json").read_text())
+        np.testing.assert_array_equal(sidecar["scale_of_row"], prompt.scale_of_row)
+        np.testing.assert_array_equal(sidecar["grid_pos_of_row"], prompt.grid_pos_of_row)
+        assert sidecar["pool"] == "max"

@@ -179,7 +179,7 @@ class TestAlignVisualKeys:
         idx = np.arange(64)
         tokens, feats, cls_raw, _ = encode_batch(test_set, idx, cfg.d_in, cfg.seed, scales=cfg.scales)
         _, masks = model.forward(tokens, feats, cls_raw, want_masks=True)
-        cells = np.array([test_set.sample(i).query_cell for i in idx])
+        cells = test_set.queries[idx]
         flat = cells[:, 0] * 16 + cells[:, 1]
         kept = masks[0][idx, -1, flat]  # block 0, answer position, fine-scale row
         assert kept.mean() >= 0.95
