@@ -52,8 +52,8 @@ class DropDecision:
     """Binary keep/drop mask for one score matrix.
 
     mask is (L, N) -- (..., L, N) from a batched site -- with exactly k
-    zeros per row, placed on the k smallest scores of that row (ties
-    masked lowest column index first).
+    zeros per row, placed on the k smallest scores of that row (NaN above
+    +inf; ties masked lowest column index first).
     """
 
     mask: np.ndarray
@@ -200,20 +200,37 @@ def standard_xattn(x_text: np.ndarray, x_vis: np.ndarray, p: StandardXAttnParams
 def adaptive_mask(scores: np.ndarray, gamma: float) -> DropDecision:
     """Per-row keep/drop decision: zero out the floor(gamma*N) smallest scores.
 
-    Ties are resolved toward the lower column index, via a stable argsort
-    on the score values.  The surviving entries pass through unchanged; no
-    renormalisation happens because the scores were never normalised.
+    The mask is that of a stable ascending sort of each row, NaN above
+    +inf, found in O(N) per row: np.partition picks the row's k-th smallest
+    score t, every score below t is dropped, and the ties equal to t (NaN
+    matches NaN, -0.0 matches +0.0) are dropped lowest column index first
+    until the row holds exactly k zeros.  The surviving entries pass
+    through unchanged; no renormalisation happens because the scores were
+    never normalised.
     """
     _check_gamma(gamma)
     if scores.ndim != 2:
         raise ShapeError(f"scores must be rank 2, got shape {scores.shape}")
     n_rows, n_cols = scores.shape
     k = drop_count(gamma, n_cols)
-    mask = np.ones((n_rows, n_cols), dtype=FLOAT)
-    if k > 0:
-        order = np.argsort(scores, axis=1, kind="stable")
-        mask[np.arange(n_rows)[:, None], order[:, :k]] = 0.0
-    return DropDecision(mask=mask, k=k)
+    if k == 0:
+        return DropDecision(mask=np.ones((n_rows, n_cols), dtype=FLOAT), k=0)
+    threshold = np.partition(scores, k - 1, axis=1)[:, k - 1 : k]
+    drop = scores < threshold
+    ties = scores == threshold
+    nan_rows = np.isnan(threshold[:, 0])  # the k-th smallest is NaN: every number goes, then NaNs
+    if nan_rows.any():
+        drop[nan_rows] = ~np.isnan(scores[nan_rows])
+        ties[nan_rows] = ~drop[nan_rows]
+    need = k - np.count_nonzero(drop, axis=1)  # ties still to drop, >= 1 per row
+    # only rows with more ties than that need the column-order cut; a cumsum
+    # over every row would cost about as much as the partition itself
+    crowded = np.count_nonzero(ties, axis=1) > need
+    if crowded.any():
+        crowded_ties = ties[crowded]
+        ties[crowded] = crowded_ties & (np.cumsum(crowded_ties, axis=1) <= need[crowded, None])
+    drop |= ties
+    return DropDecision(mask=np.logical_not(drop).astype(FLOAT), k=k)
 
 
 def param_free_xattn(
@@ -231,7 +248,7 @@ def param_free_xattn(
         raise ShapeError(f"expected rank-2 inputs, got {x_text.shape} and {x_vis.shape}")
     if x_text.shape[1] != x_vis.shape[1]:
         raise ShapeError(f"feature widths differ: {x_text.shape} vs {x_vis.shape}")
-    out, site = site_forward(x_text, x_vis, activation(x_vis, phi), 1.0, gamma, phi)
+    out, site = site_forward(x_text, x_vis, activation(x_vis, phi)[0], 1.0, gamma, phi)
     return out, site.scores, site.decision
 
 
@@ -245,6 +262,7 @@ class SiteCache:
 
     queries: np.ndarray  # (..., L, d)
     q_act: np.ndarray  # phi(queries)
+    q_saved: np.ndarray | None  # what activation_vjp reads besides the queries
     scores: np.ndarray  # (..., L, N)
     decision: DropDecision
 
@@ -263,12 +281,12 @@ def site_forward(
     with the same leading axes, so one call serves one sample or a batch.
     k_act is an input because every site of a model shares it.
     """
-    q_act = activation(queries, phi)
+    q_act, q_saved = activation(queries, phi)
     scores = q_act @ np.swapaxes(k_act, -1, -2)
     decision = adaptive_mask(scores.reshape(-1, scores.shape[-1]), gamma)
     decision.mask = decision.mask.reshape(scores.shape)
     delta = alpha * ((scores * decision.mask) @ values)
-    return delta, SiteCache(queries=queries, q_act=q_act, scores=scores, decision=decision)
+    return delta, SiteCache(queries=queries, q_act=q_act, q_saved=q_saved, scores=scores, decision=decision)
 
 
 def site_backward(
@@ -294,7 +312,7 @@ def site_backward(
     d_values = np.swapaxes(cache.scores * mask, -1, -2) @ d_out
     d_q_act = d_scores @ k_act
     d_k_act = np.swapaxes(d_scores, -1, -2) @ cache.q_act
-    return activation_vjp(cache.queries, d_q_act, phi), d_values, d_k_act
+    return activation_vjp(cache.queries, cache.q_saved, d_q_act, phi), d_values, d_k_act
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +349,7 @@ class FuseCache(SiteCache):
     low_rank: np.ndarray  # x_vis_raw @ a_feat, (N, r)
     values: np.ndarray  # beta * embedded + pos_embed, (N, d)
     k_act: np.ndarray  # phi(values)
+    k_saved: np.ndarray | None  # activation's saved state for the key-path VJP
 
 
 @dataclass
@@ -358,9 +377,10 @@ def fuse_forward(
             f"x_vis_raw must have {p.n_rows} rows to match pos_embed, got shape {x_vis_raw.shape}"
         )
     values, low_rank = visual_values(x_vis_raw, p)
-    k_act = activation(values, p.phi)
+    k_act, k_saved = activation(values, p.phi)
     delta, site = site_forward(x_text, values, k_act, p.alpha, p.gamma, p.phi)
-    cache = FuseCache(**vars(site), params=p, x_vis_raw=x_vis_raw, low_rank=low_rank, values=values, k_act=k_act)
+    cache = FuseCache(**vars(site), params=p, x_vis_raw=x_vis_raw, low_rank=low_rank, values=values,
+                      k_act=k_act, k_saved=k_saved)
     return delta, site.decision, cache
 
 
@@ -386,6 +406,6 @@ def fuse_backward(upstream_grad: np.ndarray, cache: FuseCache) -> FusionGrads:
     if upstream_grad.shape != expected:
         raise ShapeError(f"upstream grad shape {upstream_grad.shape} does not match delta {expected}")
     d_x_text, d_values, d_k_act = site_backward(upstream_grad, cache, cache.values, cache.k_act, p.alpha, p.phi)
-    d_values = d_values + activation_vjp(cache.values, d_k_act, p.phi)  # key path
+    d_values = d_values + activation_vjp(cache.values, cache.k_saved, d_k_act, p.phi)  # key path
     d_a_feat, d_b_feat = low_rank_vjp(p.beta * d_values, cache.x_vis_raw, cache.low_rank, p.b_feat)
     return FusionGrads(a_feat=d_a_feat, b_feat=d_b_feat, pos_embed=d_values, x_text=d_x_text)

@@ -237,13 +237,15 @@ def _attn_backward(d_out, cache, blk):
 
 def _mlp_forward(n2, blk):
     pre = n2 @ blk.w_mlp1 + blk.b_mlp1
-    hidden = pre * sigmoid(pre)
-    return hidden @ blk.w_mlp2 + blk.b_mlp2, pre
+    s = sigmoid(pre)  # kept for the backward pass
+    hidden = pre * s
+    return hidden @ blk.w_mlp2 + blk.b_mlp2, (pre, s)
 
 
-def _mlp_backward(d_out, pre, blk):
+def _mlp_backward(d_out, cache, blk):
+    pre, s = cache
     d_hidden = d_out @ blk.w_mlp2.T
-    d_pre = d_hidden * silu_grad(pre)
+    d_pre = d_hidden * silu_grad(pre, s)
     return d_pre @ blk.w_mlp1.T
 
 
@@ -374,18 +376,19 @@ class DecoderModel:
         """Logits plus the intermediates loss_and_grads needs."""
         f = self.fusion
         values, low_rank = visual_values(feats, f)
-        keys = (values, activation(values, f.phi))  # shared by every block's site
+        k_act, k_saved = activation(values, f.phi)
+        keys = (values, k_act)  # shared by every block's site
         x, cls_low = self._input_stream(tokens, cls_raw)
         caches = []
         for blk in self.blocks:
             x, cache = _block_forward(x, blk, f, keys, self.config.placement)
             caches.append(cache)
         nf, lnf_cache = _ln_forward(x, self.lnf_g, self.lnf_b)
-        return nf @ self.w_head, (keys, low_rank, cls_low, caches, lnf_cache)
+        return nf @ self.w_head, (keys, k_saved, low_rank, cls_low, caches, lnf_cache)
 
     def forward(self, tokens, feats, cls_raw, *, want_masks=False):
         """Logits (batch, T+1, vocab); optionally the per-block keep masks."""
-        logits, (_, _, _, caches, _) = self._forward(tokens, feats, cls_raw)
+        logits, (*_, caches, _) = self._forward(tokens, feats, cls_raw)
         if want_masks:
             return logits, [site.decision.mask for _, site in caches]
         return logits
@@ -397,7 +400,7 @@ class DecoderModel:
         (batch, T+1) with answer_mask marking which positions count.  An
         all-false mask contributes zero loss and zero gradients.
         """
-        logits, (keys, low_rank, cls_low, caches, lnf_cache) = self._forward(tokens, feats, cls_raw)
+        logits, (keys, k_saved, low_rank, cls_low, caches, lnf_cache) = self._forward(tokens, feats, cls_raw)
         b, s, vocab = logits.shape
         if answer_mask is None:
             answer_mask = np.zeros((b, s), dtype=bool)
@@ -435,7 +438,7 @@ class DecoderModel:
                 d_k_act += d_k
 
         f = self.fusion
-        d_values += activation_vjp(keys[0], d_k_act, f.phi)
+        d_values += activation_vjp(keys[0], k_saved, d_k_act, f.phi)
         d_pos_embed = d_values.sum(axis=0)
         d_values *= f.beta
         d_a_feat, d_b_feat = low_rank_vjp(d_values, feats, low_rank, f.b_feat)

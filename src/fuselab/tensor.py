@@ -50,14 +50,16 @@ def as_tensor(values) -> np.ndarray:
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function 1 / (1 + exp(-x)).
 
-    exp(-|x|) never overflows, and one exp over the array is measurably
-    cheaper than branch-wise masking on the large tensors fusion handles.
+    exp(-|x|) never overflows.  The numerator is 1 for x >= 0 and
+    z = exp(-|x|) otherwise; max(z, x >= 0) selects it in one pass, since
+    0 <= z <= 1, and gives the same bits as a branch-wise select on +-0,
+    +-inf and NaN.
     """
     x = np.asarray(x, dtype=FLOAT)
     z = np.abs(x)  # z = exp(-|x|), built in place: fusion's tensors are large
     np.negative(z, out=z)
     np.exp(z, out=z)
-    s = np.where(x >= 0, 1.0, z)
+    s = np.maximum(z, x >= 0)
     z += 1.0
     s /= z
     return s
@@ -72,31 +74,36 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def activation(x: np.ndarray, kind: str) -> np.ndarray:
-    """Apply the named projection elementwise (over the last axis for softmax_rows).
+def activation(x: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """(phi(x), saved): the named projection elementwise (over the last axis
+    for softmax_rows), plus what activation_vjp needs besides x.
 
     silu(x) = x * sigmoid(x); silu_positive shifts silu up by the minimum
     over each sample -- the last two axes -- so every output is >= 0.  For
-    a rank-2 input the sample is the whole tensor.
+    a rank-2 input the sample is the whole tensor.  saved is sigmoid(x) for
+    silu and silu_positive, the output for softmax_rows and None for the
+    rest, so the backward pass never evaluates sigmoid or softmax again.
     """
     if kind == "identity":
-        return np.array(x, dtype=FLOAT, copy=True)
+        return np.array(x, dtype=FLOAT, copy=True), None
     if kind == "softmax_rows":
-        return softmax_rows(x)
+        out = softmax_rows(x)
+        return out, out
     if kind == "relu":
-        return np.maximum(x, 0.0)
+        return np.maximum(x, 0.0), None
     if kind == "elu":
-        return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
+        return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0))), None
     if kind == "silu":
-        return x * sigmoid(x)
+        s = sigmoid(x)
+        return x * s, s
     if kind == "silu_positive":
-        return x * sigmoid(x) - np.min(x, axis=tuple(range(x.ndim)[-2:]), keepdims=True)
+        s = sigmoid(x)
+        return x * s - np.min(x, axis=tuple(range(x.ndim)[-2:]), keepdims=True), s
     raise ValueError(f"unknown activation kind {kind!r}; expected one of {ACTIVATIONS}")
 
 
-def silu_grad(x: np.ndarray) -> np.ndarray:
-    """Derivative of silu: sigma(x) * (1 + x * (1 - sigma(x)))."""
-    s = sigmoid(x)
+def silu_grad(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Derivative of silu at x, given s = sigmoid(x): s * (1 + x * (1 - s))."""
     g = 1.0 - s  # the same products in place
     g *= x
     g += 1.0
@@ -104,28 +111,29 @@ def silu_grad(x: np.ndarray) -> np.ndarray:
     return g
 
 
-def activation_vjp(x: np.ndarray, grad_out: np.ndarray, kind: str) -> np.ndarray:
+def activation_vjp(x: np.ndarray, saved: np.ndarray | None, grad_out: np.ndarray, kind: str) -> np.ndarray:
     """Vector-Jacobian product of `activation` at input x.
 
-    Returns d(loss)/dx given d(loss)/d(activation(x)).  The subgradient at
-    the relu kink and at silu_positive's argmin picks one deterministic
-    representative (relu'(0) = 0; each sample's min is attributed to its
-    first minimising entry in row-major order).
+    saved is the second value `activation(x, kind)` returned.  Returns
+    d(loss)/dx given d(loss)/d(activation(x)); neither x, saved nor
+    grad_out is modified.  The subgradient at the relu kink and at
+    silu_positive's argmin picks one deterministic representative
+    (relu'(0) = 0; each sample's min is attributed to its first minimising
+    entry in row-major order).
     """
     if kind == "identity":
         return np.array(grad_out, dtype=FLOAT, copy=True)
     if kind == "softmax_rows":
-        s = softmax_rows(x)
-        inner = (grad_out * s).sum(axis=-1, keepdims=True)
-        return s * (grad_out - inner)
+        inner = (grad_out * saved).sum(axis=-1, keepdims=True)
+        return saved * (grad_out - inner)
     if kind == "relu":
         return np.where(x > 0, grad_out, 0.0)
     if kind == "elu":
         return np.where(x > 0, grad_out, grad_out * np.exp(np.minimum(x, 0.0)))
     if kind == "silu":
-        return grad_out * silu_grad(x)
+        return grad_out * silu_grad(x, saved)
     if kind == "silu_positive":
-        dx = np.ascontiguousarray(grad_out * silu_grad(x))
+        dx = np.ascontiguousarray(grad_out * silu_grad(x, saved))
         n = int(np.prod(x.shape[:-2]))  # one sample per index of the leading axes
         flat_dx = dx.reshape(n, -1)  # a view, so the update lands in dx
         flat_dx[np.arange(n), np.argmin(x.reshape(n, -1), axis=1)] -= grad_out.reshape(n, -1).sum(axis=1)

@@ -105,6 +105,20 @@ def smallest_k_indices(row, k):
     return sorted(range(len(row)), key=lambda j: (row[j], j))[:k]
 
 
+def argsort_mask(scores, k):
+    """Keep mask of a rank-2 score array with each row's first k entries,
+    in stable ascending numpy argsort order, set to 0.0.
+
+    That order puts NaN after +inf and keeps equal entries (-0.0 and +0.0
+    included) in column order.  This is the drop mask the partition-based
+    `adaptive_mask` must reproduce exactly.
+    """
+    mask = np.ones(scores.shape)
+    order = np.argsort(scores, axis=1, kind="stable")
+    mask[np.arange(scores.shape[0])[:, None], order[:, :k]] = 0.0
+    return mask
+
+
 def standard_xattn_scalar(x_text, x_vis, wq, wk, wv, wo, d_k):
     """Step-by-step scalar softmax cross-attention."""
     xt, xv = to_lists(x_text), to_lists(x_vis)

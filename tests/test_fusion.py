@@ -24,6 +24,7 @@ from fuselab.tensor import ACTIVATIONS, ShapeError, activation, activation_vjp
 
 from .oracles import (
     SCALAR_ACTS,
+    argsort_mask,
     fd_grad,
     grad_rel_err,
     matmul_lists,
@@ -131,6 +132,21 @@ class TestParamFreeXAttn:
             param_free_xattn(np.zeros((1, 2)), np.zeros((2, 3)))
 
 
+# score entries that stress the mask's order: exact ties, signed zeros, infinities, NaN
+_SCORE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+    st.integers(-2, 2).map(float),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def _score_rows(draw):
+    n_cols = draw(st.integers(1, 12))
+    row = st.lists(_SCORE_VALUES, min_size=n_cols, max_size=n_cols)
+    return np.array(draw(st.lists(row, min_size=1, max_size=6)), dtype=float)
+
+
 class TestAdaptiveMask:
     def test_single_drop(self):
         s = np.array([[0.5, 0.1, 0.3, 0.2, 0.9]])
@@ -174,6 +190,19 @@ class TestAdaptiveMask:
         for r in range(n_rows):
             expect = set(smallest_k_indices(list(s[r]), k))
             assert set(np.flatnonzero(decision.mask[r] == 0.0)) == expect
+
+    @settings(max_examples=300, deadline=None)
+    @given(scores=_score_rows(), gamma=st.floats(0.0, 0.999))
+    def test_matches_stable_argsort_with_ties_zeros_infs_and_nans(self, scores, gamma):
+        decision = adaptive_mask(scores, gamma)
+        assert np.all(np.sum(decision.mask == 0.0, axis=1) == decision.k)
+        assert decision.mask.tobytes() == argsort_mask(scores, decision.k).tobytes()
+
+    def test_nan_heavy_row_drops_exactly_k(self):
+        # the 5th smallest is a NaN: every number goes, then NaNs by column
+        s = np.array([[np.nan, 1.0, np.nan, 0.0, -np.inf, np.inf, np.nan, np.nan, np.nan, np.nan]])
+        decision = adaptive_mask(s, 0.5)
+        np.testing.assert_array_equal(decision.mask, [[0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0]])
 
     def test_monotone_non_expansion(self):
         s = rng(10).normal(size=(4, 10))
@@ -403,10 +432,10 @@ def test_batched_site_matches_rank2_calls_and_oracle(batch, n_text, n_rows, d, g
     upstream = g.normal(size=(batch, n_text, d))
 
     values, _ = visual_values(x_vis_raw, p)
-    k_act = activation(values, phi)
+    k_act, k_saved = activation(values, phi)
     delta, cache = site_forward(queries, values, k_act, p.alpha, gamma, phi)
     d_queries, d_values, d_k_act = site_backward(upstream, cache, values, k_act, p.alpha, phi)
-    d_values = d_values + activation_vjp(values, d_k_act, phi)
+    d_values = d_values + activation_vjp(values, k_saved, d_k_act, phi)
     for b in range(batch):
         single, decision, single_cache = fuse_forward(queries[b], x_vis_raw[b], p)
         grads = fuse_backward(upstream[b], single_cache)

@@ -46,10 +46,10 @@ def rng(seed=0):
 
 class TestActivations:
     def test_silu_zero(self):
-        assert activation(as_tensor([0.0]), "silu")[0] == 0.0
+        assert activation(as_tensor([0.0]), "silu")[0][0] == 0.0
 
     def test_silu_one(self):
-        assert abs(activation(as_tensor([1.0]), "silu")[0] - SILU_AT_ONE) < 1e-6
+        assert abs(activation(as_tensor([1.0]), "silu")[0][0] - SILU_AT_ONE) < 1e-6
 
     def test_softmax_symmetry(self):
         np.testing.assert_array_equal(softmax_rows(as_tensor([[0.0, 0.0]])), [[0.5, 0.5]])
@@ -73,12 +73,12 @@ class TestActivations:
     def test_elementwise_matches_scalar(self, kind):
         x = rng(4).normal(size=(3, 5)) * 3
         expect = np.vectorize(SCALAR_ACTS[kind])(x)
-        np.testing.assert_allclose(activation(x, kind), expect, atol=1e-12)
+        np.testing.assert_allclose(activation(x, kind)[0], expect, atol=1e-12)
 
     def test_silu_positive_shifts_by_global_min(self):
         x = rng(5).normal(size=(4, 4))
-        out = activation(x, "silu_positive")
-        np.testing.assert_allclose(out, activation(x, "silu") - np.min(x), atol=1e-15)
+        out, _ = activation(x, "silu_positive")
+        np.testing.assert_allclose(out, activation(x, "silu")[0] - np.min(x), atol=1e-15)
         assert np.min(out) >= 0.0  # silu(argmin rescue): silu(m) - m >= 0 for m <= 0
 
     def test_unknown_kind_rejected(self):
@@ -87,14 +87,14 @@ class TestActivations:
 
     def test_relu_monotone(self):
         xs = np.linspace(-5, 5, 201)
-        ys = activation(xs, "relu")
+        ys, _ = activation(xs, "relu")
         assert np.all(np.diff(ys) >= 0)
 
     def test_silu_monotone_right_of_dip(self):
         # silu has a single stationary point near x = -1.278 and is
         # nondecreasing to the right of it; to the left it decreases.
         xs = np.linspace(-1.27, 5, 401)
-        ys = activation(xs, "silu")
+        ys, _ = activation(xs, "silu")
         assert np.all(np.diff(ys) >= 0)
 
     def test_sigmoid_extremes(self):
@@ -102,36 +102,66 @@ class TestActivations:
         assert out[0] >= 0.0 and out[1] == 0.5 and out[2] <= 1.0
         assert np.all(np.isfinite(out))
 
+    def test_sigmoid_bit_identical_to_branchwise_formula(self):
+        tiny = np.finfo(FLOAT).tiny
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, tiny / 3, -tiny / 3,
+                   tiny, -tiny, 745.0, -745.0, 745.2, -745.2, 709.8, -709.8, 1e-300, -1e-300, 36.8, -36.8]
+        x = np.concatenate([special, rng(19).normal(size=100_000)])
+        z = np.exp(-np.abs(x))
+        expect = np.where(x >= 0, 1.0, z) / (1.0 + z)
+        out = sigmoid(x)
+        np.testing.assert_array_equal(out, expect)  # NaN where expect is NaN
+        np.testing.assert_array_equal(np.signbit(out), np.signbit(expect))
+
 
 class TestActivationGrads:
     def test_silu_grad_formula(self):
         xs = rng(6).normal(size=17) * 3
         expect = np.vectorize(silu_grad_s)(xs)
-        np.testing.assert_allclose(silu_grad(xs), expect, atol=1e-12)
+        np.testing.assert_allclose(silu_grad(xs, sigmoid(xs)), expect, atol=1e-12)
 
-    @pytest.mark.parametrize("kind", ["identity", "elu", "silu", "silu_positive"])
+    @pytest.mark.parametrize("kind", ACTIVATIONS)
+    def test_saved_state_is_the_forward_sigmoid_or_softmax(self, kind):
+        x = rng(7).normal(size=(2, 3, 4))
+        out, saved = activation(x, kind)
+        expect = {"silu": sigmoid(x), "silu_positive": sigmoid(x), "softmax_rows": out}.get(kind)
+        if expect is None:
+            assert saved is None
+        else:
+            assert saved.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("kind", ACTIVATIONS)
     def test_vjp_matches_finite_differences(self, kind):
+        # the VJP reads only x and the forward's saved state; rank 3 is a
+        # batch of samples (silu_positive's shift is per sample)
         g = rng(8)
-        x = g.normal(size=(3, 4))
-        grad_out = g.normal(size=(3, 4))
-        analytic = activation_vjp(x, grad_out, kind)
-        numeric = fd_grad(lambda v: float(np.sum(activation(v, kind) * grad_out)), x)
-        np.testing.assert_allclose(analytic, numeric, atol=1e-7)
+        for shape in ((3, 4), (2, 3, 4)):
+            x = g.normal(size=shape)
+            grad_out = g.normal(size=shape)
+            _, saved = activation(x, kind)
+            analytic = activation_vjp(x, saved, grad_out, kind)
+            numeric = fd_grad(lambda v: float(np.sum(activation(v, kind)[0] * grad_out)), x)
+            np.testing.assert_allclose(analytic, numeric, atol=1e-7)
 
     def test_softmax_vjp_matches_finite_differences(self):
         g = rng(9)
         x = g.normal(size=(3, 5))
         grad_out = g.normal(size=(3, 5))
-        analytic = activation_vjp(x, grad_out, "softmax_rows")
-        numeric = fd_grad(lambda v: float(np.sum(activation(v, "softmax_rows") * grad_out)), x)
+        analytic = activation_vjp(x, activation(x, "softmax_rows")[1], grad_out, "softmax_rows")
+        numeric = fd_grad(lambda v: float(np.sum(activation(v, "softmax_rows")[0] * grad_out)), x)
         np.testing.assert_allclose(analytic, numeric, atol=1e-7)
 
     def test_vjp_does_not_mutate_grad_out(self):
-        x = rng(10).normal(size=(2, 3))
-        grad_out = np.ones((2, 3))
-        keep = grad_out.copy()
-        activation_vjp(x, grad_out, "silu_positive")
-        np.testing.assert_array_equal(grad_out, keep)
+        # nor x, nor the saved state the forward handed over
+        for kind in ACTIVATIONS:
+            x = rng(10).normal(size=(2, 3))
+            grad_out = np.ones((2, 3))
+            _, saved = activation(x, kind)
+            inputs = [a for a in (x, grad_out, saved) if a is not None]
+            before = [a.copy() for a in inputs]
+            activation_vjp(x, saved, grad_out, kind)
+            for now, then in zip(inputs, before):
+                assert now.tobytes() == then.tobytes(), kind
 
 
 class TestPooling:
@@ -179,8 +209,8 @@ class TestDeterminism:
     def test_bit_identical_reruns(self):
         a = rng(14).normal(size=(16, 16))
         b = rng(15).normal(size=(16, 16))
-        first = activation(a, "silu") @ b
-        second = activation(a, "silu") @ b
+        first = activation(a, "silu")[0] @ b
+        second = activation(a, "silu")[0] @ b
         assert first.tobytes() == second.tobytes()
 
 
@@ -242,5 +272,5 @@ def test_softmax_rows_property(rows, cols, seed):
 def test_all_activation_kinds_covered():
     assert set(ACTIVATIONS) == {"identity", "softmax_rows", "relu", "elu", "silu", "silu_positive"}
     for kind in ACTIVATIONS:
-        out = activation(np.abs(rng(18).normal(size=(2, 2))) + 0.1, kind)
+        out, _ = activation(np.abs(rng(18).normal(size=(2, 2))) + 0.1, kind)
         assert out.shape == (2, 2)
