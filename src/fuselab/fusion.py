@@ -16,6 +16,8 @@ the embedded features.
 `site_forward`/`site_backward` are the one implementation of that
 product and its gradients: `param_free_xattn` and `fuse_forward`/
 `fuse_backward` run it on one sample, the decoder on a whole batch.
+Without a softmax a site's gradients on the visual rows are rank-L
+products: `site_backward` returns the factors, `visual_grads` sums them once.
 
 `standard_xattn` implements the classical softmax cross-attention and is
 kept as the reference the simplified path is measured against.
@@ -296,23 +298,34 @@ def site_backward(
     k_act: np.ndarray,
     alpha: float,
     phi: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Gradients of one site against its cached forward.
 
-    Returns (d_queries, d_values, d_k_act): d_values covers the value path
-    only, and d_k_act is the key-path cotangent of phi(values), which the
-    caller pulls back through activation_vjp once, after summing it over
-    every site that shares the keys.  The drop mask is a constant: kept
-    score entries pass the gradient straight through, dropped entries
-    contribute exactly zero.
+    Returns (d_queries, factors).  The site's cotangents of values and of
+    k_act = phi(values) are rank-L products, (S*M)^T (alpha d_delta) and
+    d_scores^T phi(queries), so factors holds their four (..., L, .) terms
+    and visual_grads forms the (..., N, d) sum over all sites once.  The
+    drop mask M is a constant: kept score entries pass the gradient
+    straight through, dropped entries contribute exactly zero.
     """
     mask = cache.decision.mask
     d_out = alpha * d_delta
     d_scores = (d_out @ np.swapaxes(values, -1, -2)) * mask
-    d_values = np.swapaxes(cache.scores * mask, -1, -2) @ d_out
-    d_q_act = d_scores @ k_act
-    d_k_act = np.swapaxes(d_scores, -1, -2) @ cache.q_act
-    return activation_vjp(cache.queries, cache.q_saved, d_q_act, phi), d_values, d_k_act
+    d_queries = activation_vjp(cache.queries, cache.q_saved, d_scores @ k_act, phi)
+    return d_queries, (cache.scores * mask, d_out, d_scores, cache.q_act)
+
+
+def visual_grads(factors, values: np.ndarray, k_saved: np.ndarray | None, phi: str) -> np.ndarray:
+    """d(loss)/d(values) summed over the sites whose site_backward factors are given.
+
+    Every site reads the same values and k_act = phi(values), so their
+    factors are concatenated along L: one product forms the value path,
+    one the key-path cotangent, and one activation_vjp pulls it back.
+    """
+    kept, d_out, d_scores, q_act = (np.concatenate(f, axis=-2) for f in zip(*factors))
+    d_values = activation_vjp(values, k_saved, np.swapaxes(d_scores, -1, -2) @ q_act, phi)
+    d_values += np.swapaxes(kept, -1, -2) @ d_out
+    return d_values
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +333,14 @@ def site_backward(
 
 
 def visual_values(x_vis_raw: np.ndarray, p: FusionParams) -> tuple[np.ndarray, np.ndarray]:
-    """(values, low_rank) with values = beta * (x_vis_raw @ a_feat) @ b_feat + pos_embed.
+    """(values, low_rank) with values = (x_vis_raw @ a_feat) @ (beta * b_feat) + pos_embed.
 
-    beta scales only the embedded features; the positional embedding
-    enters unscaled.  x_vis_raw may carry leading batch axes.
+    beta scales only the embedded features, through the small b_feat; the
+    positional embedding enters unscaled.  x_vis_raw may carry batch axes.
     """
     low_rank = x_vis_raw @ p.a_feat
-    values = low_rank @ p.b_feat
-    values *= p.beta  # in place: these (B, N, d) temporaries dominate allocation
-    values += p.pos_embed
+    values = low_rank @ (p.beta * p.b_feat)
+    values += p.pos_embed  # in place: these (B, N, d) temporaries dominate allocation
     return values, low_rank
 
 
@@ -405,7 +417,8 @@ def fuse_backward(upstream_grad: np.ndarray, cache: FuseCache) -> FusionGrads:
     expected = (cache.queries.shape[0], cache.values.shape[1])
     if upstream_grad.shape != expected:
         raise ShapeError(f"upstream grad shape {upstream_grad.shape} does not match delta {expected}")
-    d_x_text, d_values, d_k_act = site_backward(upstream_grad, cache, cache.values, cache.k_act, p.alpha, p.phi)
-    d_values = d_values + activation_vjp(cache.values, cache.k_saved, d_k_act, p.phi)  # key path
-    d_a_feat, d_b_feat = low_rank_vjp(p.beta * d_values, cache.x_vis_raw, cache.low_rank, p.b_feat)
+    d_x_text, factors = site_backward(upstream_grad, cache, cache.values, cache.k_act, p.alpha, p.phi)
+    d_values = visual_grads([factors], cache.values, cache.k_saved, p.phi)
+    d_a_feat, d_b_feat = low_rank_vjp(d_values, cache.x_vis_raw, cache.low_rank, p.beta * p.b_feat)
+    d_b_feat *= p.beta  # beta scales the (r, d) factors, never the (N, d) d_values
     return FusionGrads(a_feat=d_a_feat, b_feat=d_b_feat, pos_embed=d_values, x_text=d_x_text)

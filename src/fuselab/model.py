@@ -28,9 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .fusion import FusionParams, low_rank_vjp, site_backward, site_forward, visual_values
+from .fusion import FusionParams, low_rank_vjp, site_backward, site_forward, visual_grads, visual_values
 from .prompt import check_prompt, prompt_rows
-from .tensor import FLOAT, ShapeError, activation, activation_vjp, load_tensor, save_tensor, sigmoid, silu_grad, softmax_rows
+from .tensor import FLOAT, ShapeError, activation, load_tensor, save_tensor, sigmoid, silu_grad, softmax_rows
 
 LN_EPS = 1e-5
 
@@ -245,7 +245,8 @@ def _mlp_forward(n2, blk):
 def _mlp_backward(d_out, cache, blk):
     pre, s = cache
     d_hidden = d_out @ blk.w_mlp2.T
-    d_pre = d_hidden * silu_grad(pre, s)
+    d_pre = silu_grad(pre, s)
+    d_pre *= d_hidden
     return d_pre @ blk.w_mlp1.T
 
 
@@ -285,25 +286,25 @@ def _block_forward(x, blk: DecoderBlock, fusion: FusionParams, keys, placement: 
 
 
 def _block_backward(d_out, cache, blk: DecoderBlock, fusion: FusionParams, keys, placement: PlacementConfig):
-    """Returns (d_block_input, d_values, d_k_act) -- the site's value-path and key-path terms.
+    """Returns (d_block_input, factors) -- the site's rank-L factors for visual_grads.
 
     Walking backward, the add point comes before (or at) the query point,
     so the query-path gradient is ready when its tap is reached.
     """
     q_from, add_to = placement.as_tuple()
     caches, site = cache
-    d_query = d_values = d_k_act = None
+    d_query = factors = None
 
     def tap(point, grad):
-        nonlocal d_query, d_values, d_k_act
+        nonlocal d_query, factors
         if point == add_to:
-            d_query, d_values, d_k_act = site_backward(grad, site, *keys, fusion.alpha, fusion.phi)
+            d_query, factors = site_backward(grad, site, *keys, fusion.alpha, fusion.phi)
         return grad + d_query if point == q_from else grad
 
     for (p_in, p_out, ln, _, backward), (ln_cache, sub_cache) in zip(reversed(SUBLAYERS), reversed(caches)):
         d_normed = backward(tap(p_out, d_out), sub_cache, blk)
         d_out = tap(p_in, d_out + _ln_backward(d_normed, ln_cache, getattr(blk, f"{ln}_g")))
-    return d_out, d_values, d_k_act
+    return d_out, factors
 
 
 # ---------------------------------------------------------------------------
@@ -372,23 +373,20 @@ class DecoderModel:
         cls_emb = cls_low @ self.fusion.b_cls
         return np.concatenate([cls_emb, self.embed[tokens]], axis=1), cls_low
 
-    def _forward(self, tokens, feats, cls_raw):
-        """Logits plus the intermediates loss_and_grads needs."""
-        f = self.fusion
-        values, low_rank = visual_values(feats, f)
-        k_act, k_saved = activation(values, f.phi)
-        keys = (values, k_act)  # shared by every block's site
+    def _forward(self, tokens, keys, cls_raw):
+        """Logits plus the text-side caches; keys = (values, phi(values)) is shared by every site."""
         x, cls_low = self._input_stream(tokens, cls_raw)
         caches = []
         for blk in self.blocks:
-            x, cache = _block_forward(x, blk, f, keys, self.config.placement)
+            x, cache = _block_forward(x, blk, self.fusion, keys, self.config.placement)
             caches.append(cache)
         nf, lnf_cache = _ln_forward(x, self.lnf_g, self.lnf_b)
-        return nf @ self.w_head, (keys, k_saved, low_rank, cls_low, caches, lnf_cache)
+        return nf @ self.w_head, (cls_low, caches, lnf_cache)
 
     def forward(self, tokens, feats, cls_raw, *, want_masks=False):
         """Logits (batch, T+1, vocab); optionally the per-block keep masks."""
-        logits, (*_, caches, _) = self._forward(tokens, feats, cls_raw)
+        values = visual_values(feats, self.fusion)[0]  # phi's saved state is dropped: only backward reads it
+        logits, (_, caches, _) = self._forward(tokens, (values, activation(values, self.fusion.phi)[0]), cls_raw)
         if want_masks:
             return logits, [site.decision.mask for _, site in caches]
         return logits
@@ -400,7 +398,10 @@ class DecoderModel:
         (batch, T+1) with answer_mask marking which positions count.  An
         all-false mask contributes zero loss and zero gradients.
         """
-        logits, (keys, k_saved, low_rank, cls_low, caches, lnf_cache) = self._forward(tokens, feats, cls_raw)
+        f = self.fusion
+        values, low_rank = visual_values(feats, f)
+        k_act, k_saved = activation(values, f.phi)
+        logits, (cls_low, caches, lnf_cache) = self._forward(tokens, (values, k_act), cls_raw)
         b, s, vocab = logits.shape
         if answer_mask is None:
             answer_mask = np.zeros((b, s), dtype=bool)
@@ -426,31 +427,18 @@ class DecoderModel:
 
         d_nf = d_logits @ self.w_head.T
         d_x = _ln_backward(d_nf, lnf_cache, self.lnf_g)
-        # every site shares the keys, so value- and key-path terms are summed
-        # over blocks (in place: these are the step's largest arrays)
-        d_values = d_k_act = None
+        factors = []
         for blk, cache in zip(reversed(self.blocks), reversed(caches)):
-            d_x, d_v, d_k = _block_backward(d_x, cache, blk, self.fusion, keys, self.config.placement)
-            if d_values is None:
-                d_values, d_k_act = d_v, d_k
-            else:
-                d_values += d_v
-                d_k_act += d_k
+            d_x, site_factors = _block_backward(d_x, cache, blk, f, (values, k_act), self.config.placement)
+            factors.append(site_factors)
 
-        f = self.fusion
-        d_values += activation_vjp(keys[0], k_saved, d_k_act, f.phi)
-        d_pos_embed = d_values.sum(axis=0)
-        d_values *= f.beta
-        d_a_feat, d_b_feat = low_rank_vjp(d_values, feats, low_rank, f.b_feat)
+        # one (B, N, d) cotangent for every site, formed after phi(values) is freed
+        del k_act
+        d_values = visual_grads(factors, values, k_saved, f.phi)
+        d_a_feat, d_b_feat = low_rank_vjp(d_values, feats, low_rank, f.beta * f.b_feat)
+        d_b_feat *= f.beta  # beta scales the (r, d) factors, never the (B, N, d) d_values
         d_a_cls, d_b_cls = low_rank_vjp(d_x[:, :1, :], cls_raw, cls_low, f.b_cls)
-        grads = ModelGrads(
-            a_feat=d_a_feat,
-            b_feat=d_b_feat,
-            a_cls=d_a_cls,
-            b_cls=d_b_cls,
-            pos_embed=d_pos_embed,
-        )
-        return loss, grads
+        return loss, ModelGrads(d_a_feat, d_b_feat, d_a_cls, d_b_cls, pos_embed=d_values.sum(axis=0))
 
     def predict(self, tokens, feats, cls_raw) -> np.ndarray:
         """Greedy answer ids read from the final position."""

@@ -48,30 +48,26 @@ def as_tensor(values) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function 1 / (1 + exp(-x)).
+    """Logistic function 1 / (1 + exp(-x)), in four in-place passes.
 
-    exp(-|x|) never overflows.  The numerator is 1 for x >= 0 and
-    z = exp(-|x|) otherwise; max(z, x >= 0) selects it in one pass, since
-    0 <= z <= 1, and gives the same bits as a branch-wise select on +-0,
-    +-inf and NaN.
+    Below x = -709.78 exp(-x) overflows and the result is exactly 0 (the
+    true value is a subnormal); neither that nor underflow warns.
     """
-    x = np.asarray(x, dtype=FLOAT)
-    z = np.abs(x)  # z = exp(-|x|), built in place: fusion's tensors are large
-    np.negative(z, out=z)
-    np.exp(z, out=z)
-    s = np.maximum(z, x >= 0)
-    z += 1.0
-    s /= z
-    return s
+    s = np.negative(np.asarray(x, dtype=FLOAT))  # fusion's tensors are large: one allocation
+    with np.errstate(over="ignore", under="ignore"):
+        np.exp(s, out=s)
+    s += 1.0
+    return np.reciprocal(s, out=s)
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of a rank >= 2 array, stabilised by max subtraction."""
     if x.ndim < 2:
         raise ShapeError(f"softmax_rows needs a rank >= 2 input, got shape {x.shape}")
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)  # one allocation, then in place
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def activation(x: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray | None]:
@@ -93,12 +89,12 @@ def activation(x: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray | None]
         return np.maximum(x, 0.0), None
     if kind == "elu":
         return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0))), None
-    if kind == "silu":
+    if kind in ("silu", "silu_positive"):
         s = sigmoid(x)
-        return x * s, s
-    if kind == "silu_positive":
-        s = sigmoid(x)
-        return x * s - np.min(x, axis=tuple(range(x.ndim)[-2:]), keepdims=True), s
+        out = x * s
+        if kind == "silu_positive":
+            out -= np.min(x, axis=tuple(range(x.ndim)[-2:]), keepdims=True)  # in place: (B, N, d) arrays
+        return out, s
     raise ValueError(f"unknown activation kind {kind!r}; expected one of {ACTIVATIONS}")
 
 
@@ -124,16 +120,18 @@ def activation_vjp(x: np.ndarray, saved: np.ndarray | None, grad_out: np.ndarray
     if kind == "identity":
         return np.array(grad_out, dtype=FLOAT, copy=True)
     if kind == "softmax_rows":
-        inner = (grad_out * saved).sum(axis=-1, keepdims=True)
-        return saved * (grad_out - inner)
+        dx = grad_out - (grad_out * saved).sum(axis=-1, keepdims=True)
+        dx *= saved
+        return dx
     if kind == "relu":
         return np.where(x > 0, grad_out, 0.0)
     if kind == "elu":
         return np.where(x > 0, grad_out, grad_out * np.exp(np.minimum(x, 0.0)))
-    if kind == "silu":
-        return grad_out * silu_grad(x, saved)
-    if kind == "silu_positive":
-        dx = np.ascontiguousarray(grad_out * silu_grad(x, saved))
+    if kind in ("silu", "silu_positive"):
+        dx = np.ascontiguousarray(silu_grad(x, saved))  # fresh, so the product lands in place
+        dx *= grad_out
+        if kind == "silu":
+            return dx
         n = int(np.prod(x.shape[:-2]))  # one sample per index of the leading axes
         flat_dx = dx.reshape(n, -1)  # a view, so the update lands in dx
         flat_dx[np.arange(n), np.argmin(x.reshape(n, -1), axis=1)] -= grad_out.reshape(n, -1).sum(axis=1)

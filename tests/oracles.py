@@ -119,6 +119,25 @@ def argsort_mask(scores, k):
     return mask
 
 
+def per_site_visual_grads(sites, values, alpha, key_vjp):
+    """d(loss)/d(values) formed site by site and summed: the value path
+    (S*M)^T (alpha dDelta) plus key_vjp(d_scores^T phi(Q)) for each site.
+
+    sites holds (d_delta, cache) pairs with cache.scores, cache.q_act and
+    cache.decision.mask from site_forward; key_vjp pulls a cotangent of
+    phi(values) back to values.  This is the per-site form that
+    `visual_grads` folds into one product per path.
+    """
+    total = np.zeros(values.shape)
+    for d_delta, cache in sites:
+        mask = cache.decision.mask
+        d_out = alpha * d_delta
+        d_scores = (d_out @ np.swapaxes(values, -1, -2)) * mask
+        total += np.swapaxes(cache.scores * mask, -1, -2) @ d_out
+        total += key_vjp(np.swapaxes(d_scores, -1, -2) @ cache.q_act)
+    return total
+
+
 def standard_xattn_scalar(x_text, x_vis, wq, wk, wv, wo, d_k):
     """Step-by-step scalar softmax cross-attention."""
     xt, xv = to_lists(x_text), to_lists(x_vis)

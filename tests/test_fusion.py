@@ -18,6 +18,7 @@ from fuselab.fusion import (
     site_backward,
     site_forward,
     standard_xattn,
+    visual_grads,
     visual_values,
 )
 from fuselab.tensor import ACTIVATIONS, ShapeError, activation, activation_vjp
@@ -29,6 +30,7 @@ from .oracles import (
     grad_rel_err,
     matmul_lists,
     param_free_scalar,
+    per_site_visual_grads,
     smallest_k_indices,
     standard_xattn_scalar,
 )
@@ -434,8 +436,8 @@ def test_batched_site_matches_rank2_calls_and_oracle(batch, n_text, n_rows, d, g
     values, _ = visual_values(x_vis_raw, p)
     k_act, k_saved = activation(values, phi)
     delta, cache = site_forward(queries, values, k_act, p.alpha, gamma, phi)
-    d_queries, d_values, d_k_act = site_backward(upstream, cache, values, k_act, p.alpha, phi)
-    d_values = d_values + activation_vjp(values, k_saved, d_k_act, phi)
+    d_queries, factors = site_backward(upstream, cache, values, k_act, p.alpha, phi)
+    d_values = visual_grads([factors], values, k_saved, phi)
     for b in range(batch):
         single, decision, single_cache = fuse_forward(queries[b], x_vis_raw[b], p)
         grads = fuse_backward(upstream[b], single_cache)
@@ -449,6 +451,35 @@ def test_batched_site_matches_rank2_calls_and_oracle(batch, n_text, n_rows, d, g
             np.testing.assert_allclose(cache.scores[b], scores, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(cache.decision.mask[b], masks)
             np.testing.assert_allclose(delta[b], p.alpha * np.asarray(out), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_sites=st.integers(1, 3),
+    batch=st.integers(1, 3),
+    n_rows=st.integers(1, 6),
+    d=st.integers(1, 5),
+    gamma=st.floats(0.0, 0.5, exclude_max=True),
+    phi=st.sampled_from(ACTIVATIONS),
+    quantized=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+def test_visual_grads_matches_per_site_sum(n_sites, batch, n_rows, d, gamma, phi, quantized, seed):
+    # sites of different lengths share one set of keys, as a model's blocks do
+    g = rng(seed)
+    values = _draw(g, (batch, n_rows, d), quantized)
+    k_act, k_saved = activation(values, phi)
+    sites, factors = [], []
+    for _ in range(n_sites):
+        queries = _draw(g, (batch, int(g.integers(1, 5)), d), quantized)
+        upstream = g.normal(size=queries.shape)
+        _, cache = site_forward(queries, values, k_act, 0.7, gamma, phi)
+        factors.append(site_backward(upstream, cache, values, k_act, 0.7, phi)[1])
+        sites.append((upstream, cache))
+    got = visual_grads(factors, values, k_saved, phi)
+    expect = per_site_visual_grads(sites, values, 0.7, lambda ct: activation_vjp(values, k_saved, ct, phi))
+    assert got.shape == values.shape
+    assert np.max(np.abs(got - expect)) <= 1e-12 * max(np.max(np.abs(expect)), 1e-300)
 
 
 def test_drop_count_float64_semantics():

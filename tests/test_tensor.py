@@ -1,6 +1,7 @@
 """Tests for the float64 tensor layer: ops, activations, pooling, file format."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from .oracles import (
     avg_pool_windows,
     fd_grad,
     max_pool_windows,
+    sigmoid_s,
     silu_grad_s,
     softmax_row_list,
 )
@@ -102,16 +104,35 @@ class TestActivations:
         assert out[0] >= 0.0 and out[1] == 0.5 and out[2] <= 1.0
         assert np.all(np.isfinite(out))
 
-    def test_sigmoid_bit_identical_to_branchwise_formula(self):
-        tiny = np.finfo(FLOAT).tiny
-        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, tiny / 3, -tiny / 3,
-                   tiny, -tiny, 745.0, -745.0, 745.2, -745.2, 709.8, -709.8, 1e-300, -1e-300, 36.8, -36.8]
-        x = np.concatenate([special, rng(19).normal(size=100_000)])
-        z = np.exp(-np.abs(x))
-        expect = np.where(x >= 0, 1.0, z) / (1.0 + z)
+    SIGMOID_SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                        np.finfo(FLOAT).tiny / 3, -np.finfo(FLOAT).tiny / 3, np.finfo(FLOAT).tiny,
+                        -np.finfo(FLOAT).tiny, 745.0, -745.0, 745.2, -745.2, 709.8, -709.8,
+                        1e-300, -1e-300, 36.8, -36.8]
+
+    def test_sigmoid_bit_identical_to_reciprocal_formula(self):
+        x = np.concatenate([self.SIGMOID_SPECIALS, rng(19).normal(size=100_000)])
+        with np.errstate(over="ignore"):
+            expect = 1.0 / (1.0 + np.exp(-x))
         out = sigmoid(x)
         np.testing.assert_array_equal(out, expect)  # NaN where expect is NaN
         np.testing.assert_array_equal(np.signbit(out), np.signbit(expect))
+
+    def test_sigmoid_within_4_ulp_of_scalar_oracle(self):
+        g = rng(20)
+        x = np.concatenate([g.uniform(-708.0, 708.0, size=20_000), 30.0 * g.normal(size=20_000), [-708.0, 708.0]])
+        expect = np.array([sigmoid_s(v) for v in x])
+        assert np.all(np.abs(sigmoid(x) - expect) <= 4 * np.spacing(expect))
+        # below -708 exp(-x) overflows to +inf and the result is 0, not the subnormal
+        x = np.concatenate([g.uniform(-800.0, -708.0, size=2_000), [-709.8, -745.0, -745.2, -1e308]])
+        expect = np.array([sigmoid_s(v) for v in x])
+        assert np.all(np.abs(sigmoid(x) - expect) <= 1e-307)
+        assert sigmoid(np.array([-np.inf]))[0] == 0.0
+
+    def test_sigmoid_raises_no_warning(self):
+        x = np.concatenate([self.SIGMOID_SPECIALS, [-1e308, 1e308]])
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
+            sigmoid(x)
 
 
 class TestActivationGrads:
