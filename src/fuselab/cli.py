@@ -63,9 +63,9 @@ def _cmd_gradcheck(args) -> int:
     seed = _env_seed() if _env_seed() is not None else args.seed
     result = gradcheck_report(seed=seed, trials=args.trials)
     for row in result["trials"]:
-        dims = f"L={row['L']} N={row['N']} d_in={row['d_in']} r={row['rank']} d={row['d']}"
+        dims = f"blocks={row['n_blocks']} d={row['d_model']} d_in={row['d_in']} r={row['rank']}"
         print(
-            f"trial {row['trial']:3d}  {dims:32s} gamma={row['gamma']:.1f} "
+            f"trial {row['trial']:3d}  {dims:26s} {row['placement']:18s} gamma={row['gamma']:.1f} "
             f"phi={row['phi']:13s} max_rel_err={row['max_rel_err']:.3e}"
         )
     verdict = "PASS" if result["ok"] else "FAIL"
@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="emit JSON instead of the table")
     p.set_defaults(func=_cmd_flops)
 
-    p = sub.add_parser("gradcheck", help="analytic vs numeric fusion gradients")
+    p = sub.add_parser("gradcheck", help="loss_and_grads vs central differences on tiny models")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=20)
     p.set_defaults(func=_cmd_gradcheck)

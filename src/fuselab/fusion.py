@@ -14,10 +14,12 @@ features into the model width, and a per-row positional embedding added to
 the embedded features.
 
 `site_forward`/`site_backward` are the one implementation of that
-product and its gradients: `param_free_xattn` and `fuse_forward`/
-`fuse_backward` run it on one sample, the decoder on a whole batch.
-Without a softmax a site's gradients on the visual rows are rank-L
-products: `site_backward` returns the factors, `visual_grads` sums them once.
+product and its gradients: `param_free_xattn` runs it on one sample, the
+decoder on a whole batch.  Without a softmax a site's gradients on the
+visual rows are rank-L products: `site_backward` returns the factors,
+`visual_grads` sums them once.  `visual_values` embeds the raw features
+into the rows every site reads; `low_rank_vjp` carries their gradient
+back to the low-rank pairs.
 
 `standard_xattn` implements the classical softmax cross-attention and is
 kept as the reference the simplified path is measured against.
@@ -336,8 +338,14 @@ def visual_values(x_vis_raw: np.ndarray, p: FusionParams) -> tuple[np.ndarray, n
     """(values, low_rank) with values = (x_vis_raw @ a_feat) @ (beta * b_feat) + pos_embed.
 
     beta scales only the embedded features, through the small b_feat; the
-    positional embedding enters unscaled.  x_vis_raw may carry batch axes.
+    positional embedding enters unscaled.  x_vis_raw is (..., n_rows, d_in):
+    it may carry batch axes.
     """
+    if x_vis_raw.ndim < 2 or x_vis_raw.shape[-2:] != (p.n_rows, p.a_feat.shape[0]):
+        raise ShapeError(
+            f"visual features {x_vis_raw.shape} must end in (n_rows, d_in) = "
+            f"({p.n_rows}, {p.a_feat.shape[0]}) to match pos_embed {p.pos_embed.shape} and a_feat {p.a_feat.shape}"
+        )
     low_rank = x_vis_raw @ p.a_feat
     values = low_rank @ (p.beta * p.b_feat)
     values += p.pos_embed  # in place: these (B, N, d) temporaries dominate allocation
@@ -350,75 +358,3 @@ def low_rank_vjp(d_out: np.ndarray, x_raw: np.ndarray, low_rank: np.ndarray, b: 
     d_b = low_rank.reshape(-1, rank).T @ d_out.reshape(-1, width)
     d_a = x_raw.reshape(-1, x_raw.shape[-1]).T @ (d_out @ b.T).reshape(-1, rank)
     return d_a, d_b
-
-
-@dataclass
-class FuseCache(SiteCache):
-    """Forward intermediates needed by fuse_backward: the site's plus the embedding's."""
-
-    params: FusionParams
-    x_vis_raw: np.ndarray
-    low_rank: np.ndarray  # x_vis_raw @ a_feat, (N, r)
-    values: np.ndarray  # beta * embedded + pos_embed, (N, d)
-    k_act: np.ndarray  # phi(values)
-    k_saved: np.ndarray | None  # activation's saved state for the key-path VJP
-
-
-@dataclass
-class FusionGrads:
-    """Gradients of a scalar loss w.r.t. the fusion inputs and trainables."""
-
-    a_feat: np.ndarray
-    b_feat: np.ndarray
-    pos_embed: np.ndarray
-    x_text: np.ndarray
-
-
-def fuse_forward(
-    x_text: np.ndarray,
-    x_vis_raw: np.ndarray,
-    p: FusionParams,
-) -> tuple[np.ndarray, DropDecision, FuseCache]:
-    """Full fusion pipeline with cached intermediates.
-
-    delta = alpha * param_free_xattn(x_text, beta * embed(x_vis_raw) + E)
-    where embed is the a_feat/b_feat low-rank pair.
-    """
-    if x_vis_raw.ndim != 2 or x_vis_raw.shape[0] != p.n_rows:
-        raise ShapeError(
-            f"x_vis_raw must have {p.n_rows} rows to match pos_embed, got shape {x_vis_raw.shape}"
-        )
-    values, low_rank = visual_values(x_vis_raw, p)
-    k_act, k_saved = activation(values, p.phi)
-    delta, site = site_forward(x_text, values, k_act, p.alpha, p.gamma, p.phi)
-    cache = FuseCache(**vars(site), params=p, x_vis_raw=x_vis_raw, low_rank=low_rank, values=values,
-                      k_act=k_act, k_saved=k_saved)
-    return delta, site.decision, cache
-
-
-def fuse(
-    x_text: np.ndarray,
-    x_vis_raw: np.ndarray,
-    p: FusionParams,
-) -> tuple[np.ndarray, DropDecision]:
-    """As fuse_forward, without keeping the backward cache."""
-    delta, decision, _ = fuse_forward(x_text, x_vis_raw, p)
-    return delta, decision
-
-
-def fuse_backward(upstream_grad: np.ndarray, cache: FuseCache) -> FusionGrads:
-    """Analytic gradients of the fusion delta against a cached forward.
-
-    The drop mask is treated as a constant (see site_backward).
-    """
-    if not isinstance(cache, FuseCache):
-        raise ValueError("fuse_backward needs the FuseCache from fuse_forward")
-    p = cache.params
-    expected = (cache.queries.shape[0], cache.values.shape[1])
-    if upstream_grad.shape != expected:
-        raise ShapeError(f"upstream grad shape {upstream_grad.shape} does not match delta {expected}")
-    d_x_text, factors = site_backward(upstream_grad, cache, cache.values, cache.k_act, p.alpha, p.phi)
-    d_values = visual_grads([factors], cache.values, cache.k_saved, p.phi)
-    d_a_feat, d_b_feat = low_rank_vjp(d_values, cache.x_vis_raw, cache.low_rank, p.beta * p.b_feat)
-    d_b_feat *= p.beta  # beta scales the (r, d) factors, never the (N, d) d_values
-    return FusionGrads(a_feat=d_a_feat, b_feat=d_b_feat, pos_embed=d_values, x_text=d_x_text)

@@ -88,7 +88,10 @@ def activation(x: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray | None]
     if kind == "relu":
         return np.maximum(x, 0.0), None
     if kind == "elu":
-        return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0))), None
+        out = np.minimum(x, 0.0)  # one array, filled in place
+        np.expm1(out, out=out)
+        np.copyto(out, x, where=x > 0)
+        return out, None
     if kind in ("silu", "silu_positive"):
         s = sigmoid(x)
         out = x * s
@@ -126,7 +129,10 @@ def activation_vjp(x: np.ndarray, saved: np.ndarray | None, grad_out: np.ndarray
     if kind == "relu":
         return np.where(x > 0, grad_out, 0.0)
     if kind == "elu":
-        return np.where(x > 0, grad_out, grad_out * np.exp(np.minimum(x, 0.0)))
+        dx = np.minimum(x, 0.0)  # exp(min(x, 0)) is exactly 1 where x > 0
+        np.exp(dx, out=dx)
+        dx *= grad_out
+        return dx
     if kind in ("silu", "silu_positive"):
         dx = np.ascontiguousarray(silu_grad(x, saved))  # fresh, so the product lands in place
         dx *= grad_out

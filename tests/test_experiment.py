@@ -22,7 +22,8 @@ from fuselab.experiment import (
     run_experiment,
     train_and_save,
 )
-from fuselab.model import DecoderModel
+from fuselab import model as model_module
+from fuselab.model import LEGAL_PLACEMENTS, DecoderModel
 from fuselab.tensor import ACTIVATIONS
 
 
@@ -226,6 +227,25 @@ class TestGradcheckReport:
         assert result["max_rel_err"] <= 1e-4
         assert {row["gamma"] for row in result["trials"]} == {0.0, 0.2}
         assert len(result["trials"]) == 8
+
+    def test_twenty_trials_cover_every_placement_phi_and_gamma(self):
+        result = gradcheck_report(seed=0, trials=20)
+        rows = result["trials"]
+        assert result["ok"]
+        assert {r["placement"] for r in rows} == {f"{q}->{a}" for q, a in LEGAL_PLACEMENTS}
+        assert {r["phi"] for r in rows} == set(ACTIVATIONS)
+        assert {r["gamma"] for r in rows} == {0.0, 0.2}
+        for r in rows:
+            assert set(r["by_tensor"]) == {"a_feat", "b_feat", "a_cls", "b_cls", "pos_embed"}
+            assert r["n_blocks"] in (1, 2) and 4 <= r["d_model"] <= 8
+
+    def test_catches_a_wrong_layer_norm_backward(self, monkeypatch):
+        # every gradient passes through the final norm, so every trial must fail
+        ln_backward = model_module._ln_backward
+        monkeypatch.setattr(model_module, "_ln_backward", lambda *args: 1.5 * ln_backward(*args))
+        result = gradcheck_report(seed=0, trials=6)
+        assert not result["ok"]
+        assert all(r["max_rel_err"] > 0.1 for r in result["trials"])
 
 
 class TestReportHelpers:

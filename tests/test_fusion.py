@@ -11,9 +11,7 @@ from fuselab.fusion import (
     StandardXAttnParams,
     adaptive_mask,
     drop_count,
-    fuse,
-    fuse_backward,
-    fuse_forward,
+    low_rank_vjp,
     param_free_xattn,
     site_backward,
     site_forward,
@@ -260,18 +258,39 @@ class TestFusionParams:
         assert p.trainable_count() == 2 * (4 * 3 + 3 * 6) + 5 * 6
 
 
+def branch(x_text, x_vis_raw, p, upstream=None):
+    """The fusion branch on the site kernel, for one sample or a batch.
+
+    Returns (delta, site cache, values, grads), grads being those of
+    sum(upstream * delta) -- None without an upstream.
+    """
+    values, low_rank = visual_values(x_vis_raw, p)
+    k_act, k_saved = activation(values, p.phi)
+    delta, cache = site_forward(x_text, values, k_act, p.alpha, p.gamma, p.phi)
+    if upstream is None:
+        return delta, cache, values, None
+    d_x_text, factors = site_backward(upstream, cache, values, k_act, p.alpha, p.phi)
+    d_values = visual_grads([factors], values, k_saved, p.phi)
+    d_a_feat, d_b_feat = low_rank_vjp(d_values, x_vis_raw, low_rank, p.beta * p.b_feat)
+    pos_embed = d_values.reshape(-1, *p.pos_embed.shape).sum(axis=0)
+    return delta, cache, values, {"a_feat": d_a_feat, "b_feat": p.beta * d_b_feat, "pos_embed": pos_embed,
+                                  "x_text": d_x_text, "values": d_values}
+
+
 class TestFuse:
+    """The fusion branch: visual_values feeding one site_forward."""
+
     def test_null_branch_is_exact_noop(self):
         p = FusionParams.init(rng(15), d_in=4, d_model=6, rank=3, n_rows=5, pos_scale=0.0, b_scale=0.0)
-        x_text = rng(16).normal(size=(3, 6))
-        x_vis_raw = rng(17).normal(size=(5, 4))
-        delta, _ = fuse(x_text, x_vis_raw, p)
-        np.testing.assert_array_equal(delta, np.zeros((3, 6)))
+        x_text = rng(16).normal(size=(2, 3, 6))
+        x_vis_raw = rng(17).normal(size=(2, 5, 4))
+        delta = branch(x_text, x_vis_raw, p)[0]
+        np.testing.assert_array_equal(delta, np.zeros((2, 3, 6)))
 
     def test_alpha_zero_annihilates(self):
         p = small_params(alpha=0.0)
-        delta, _ = fuse(rng(18).normal(size=(3, 6)), rng(19).normal(size=(5, 4)), p)
-        np.testing.assert_array_equal(delta, np.zeros((3, 6)))
+        delta = branch(rng(18).normal(size=(2, 3, 6)), rng(19).normal(size=(2, 5, 4)), p)[0]
+        np.testing.assert_array_equal(delta, np.zeros((2, 3, 6)))
 
     def test_pipeline_matches_scalar_oracle(self):
         p = small_params(20, alpha=0.1, beta=0.01, gamma=0.2, phi="silu")
@@ -282,30 +301,31 @@ class TestFuse:
             [0.01 * x_emb[i][j] + p.pos_embed[i, j] for j in range(6)] for i in range(5)
         ]
         expect_out, _, _ = param_free_scalar(x_text, values, "silu", 0.2)
-        delta, _ = fuse(x_text, x_vis_raw, p)
+        delta = branch(x_text, x_vis_raw, p)[0]
         np.testing.assert_allclose(delta, 0.1 * np.asarray(expect_out), atol=1e-12)
 
     def test_alpha_doubling_is_exact(self):
         base = small_params(23, alpha=0.171)
         doubled = small_params(23, alpha=0.342)
-        x_text = rng(24).normal(size=(3, 6))
-        x_vis_raw = rng(25).normal(size=(5, 4))
-        d1, _ = fuse(x_text, x_vis_raw, base)
-        d2, _ = fuse(x_text, x_vis_raw, doubled)
-        np.testing.assert_array_equal(d2, 2.0 * d1)
+        x_text = rng(24).normal(size=(2, 3, 6))
+        x_vis_raw = rng(25).normal(size=(2, 5, 4))
+        np.testing.assert_array_equal(branch(x_text, x_vis_raw, doubled)[0], 2.0 * branch(x_text, x_vis_raw, base)[0])
 
     def test_masking_equals_manual_zeroing(self):
         p = small_params(26, gamma=0.4)
-        x_text = rng(27).normal(size=(3, 6))
-        x_vis_raw = rng(28).normal(size=(5, 4))
-        delta, decision, cache = fuse_forward(x_text, x_vis_raw, p)
-        manual = p.alpha * ((cache.scores * decision.mask) @ cache.values)
+        x_text = rng(27).normal(size=(2, 3, 6))
+        x_vis_raw = rng(28).normal(size=(2, 5, 4))
+        delta, cache, values, _ = branch(x_text, x_vis_raw, p)
+        np.testing.assert_array_equal(np.sum(cache.decision.mask == 0.0, axis=-1), 2)
+        manual = p.alpha * ((cache.scores * cache.decision.mask) @ values)
         np.testing.assert_array_equal(delta, manual)
 
     def test_row_count_mismatch_rejected(self):
+        # the raw rows must be (..., n_rows, d_in): 5 rows of width 4 here
         p = small_params()
-        with pytest.raises(ShapeError):
-            fuse(np.zeros((3, 6)), np.zeros((4, 4)), p)
+        for shape in ((4, 4), (2, 6, 4), (2, 5, 3), (4,)):
+            with pytest.raises(ShapeError, match=r"pos_embed \(5, 6\)"):
+                visual_values(np.zeros(shape), p)
 
     def test_beta_scales_features_not_positions(self):
         # with B=0 the embedded features vanish, so beta must have no effect
@@ -313,60 +333,47 @@ class TestFuse:
         p0.b_feat[:] = 0.0
         pbig = small_params(29, pos_scale=0.3, beta=100.0)
         pbig.b_feat[:] = 0.0
-        x_text = rng(30).normal(size=(3, 6))
-        x_vis_raw = rng(31).normal(size=(5, 4))
-        np.testing.assert_array_equal(fuse(x_text, x_vis_raw, p0)[0], fuse(x_text, x_vis_raw, pbig)[0])
+        x_text = rng(30).normal(size=(2, 3, 6))
+        x_vis_raw = rng(31).normal(size=(2, 5, 4))
+        np.testing.assert_array_equal(branch(x_text, x_vis_raw, p0)[0], branch(x_text, x_vis_raw, pbig)[0])
 
 
 class TestFuseBackward:
+    """The branch's gradients: site_backward, visual_grads and low_rank_vjp on a batch."""
+
     def test_zero_upstream_zero_grads(self):
         p = small_params(32)
-        _, _, cache = fuse_forward(rng(33).normal(size=(3, 6)), rng(34).normal(size=(5, 4)), p)
-        grads = fuse_backward(np.zeros((3, 6)), cache)
-        for g in (grads.a_feat, grads.b_feat, grads.pos_embed, grads.x_text):
+        grads = branch(rng(33).normal(size=(2, 3, 6)), rng(34).normal(size=(2, 5, 4)), p, np.zeros((2, 3, 6)))[3]
+        for g in grads.values():
             np.testing.assert_array_equal(g, np.zeros_like(g))
-
-    def test_missing_cache_is_usage_error(self):
-        with pytest.raises(ValueError, match="FuseCache"):
-            fuse_backward(np.zeros((3, 6)), None)
 
     def test_identity_small_case_against_fd(self):
         p = small_params(35, d_in=2, rank=2, d=2, n_rows=2, gamma=0.0, phi="identity")
         x_text = rng(36).normal(size=(1, 2))
         x_vis_raw = rng(37).normal(size=(2, 2))
         probe = rng(38).normal(size=(1, 2))
-        _, _, cache = fuse_forward(x_text, x_vis_raw, p)
-        grads = fuse_backward(probe, cache)
-        numeric = fd_grad(lambda v: float(np.sum(fuse(v, x_vis_raw, p)[0] * probe)), x_text)
-        assert grad_rel_err(grads.x_text, numeric) <= 1e-4
+        grads = branch(x_text, x_vis_raw, p, probe)[3]
+        numeric = fd_grad(lambda v: float(np.sum(branch(v, x_vis_raw, p)[0] * probe)), x_text)
+        assert grad_rel_err(grads["x_text"], numeric) <= 1e-4
 
     @pytest.mark.parametrize("seed", range(20))
     def test_gradcheck_all_trainables(self, seed):
         phi = ("silu", "identity", "elu", "softmax_rows")[seed % 4]
-        gamma = (0.0, 0.2)[seed % 2]
-        p = small_params(seed, gamma=gamma, phi=phi)
+        p = small_params(seed, gamma=(0.0, 0.2)[seed % 2], phi=phi)
         g = rng(1000 + seed)
-        x_text = g.normal(size=(3, 6))
-        x_vis_raw = g.normal(size=(5, 4))
-        probe = g.normal(size=(3, 6))
+        x_text = g.normal(size=(2, 3, 6))
+        x_vis_raw = g.normal(size=(2, 5, 4))
+        probe = g.normal(size=(2, 3, 6))
+        grads = branch(x_text, x_vis_raw, p, probe)[3]
 
-        _, _, cache = fuse_forward(x_text, x_vis_raw, p)
-        grads = fuse_backward(probe, cache)
+        def objective(_):
+            return float(np.sum(branch(x_text, x_vis_raw, p)[0] * probe))
 
-        def loss_with(field, value):
-            trial = small_params(seed, gamma=gamma, phi=phi)
-            setattr(trial, field, value)
-            return float(np.sum(fuse(x_text, x_vis_raw, trial)[0] * probe))
-
-        for field, analytic in (
-            ("a_feat", grads.a_feat),
-            ("b_feat", grads.b_feat),
-            ("pos_embed", grads.pos_embed),
-        ):
-            numeric = fd_grad(lambda v, f=field: loss_with(f, v), getattr(p, field))
-            assert grad_rel_err(analytic, numeric) <= 1e-4, field
-        numeric = fd_grad(lambda v: float(np.sum(fuse(v, x_vis_raw, p)[0] * probe)), x_text)
-        assert grad_rel_err(grads.x_text, numeric) <= 1e-4, "x_text"
+        for field in ("a_feat", "b_feat", "pos_embed"):
+            numeric = fd_grad(objective, getattr(p, field), inplace=True)
+            assert grad_rel_err(grads[field], numeric) <= 1e-4, field
+        numeric = fd_grad(lambda v: float(np.sum(branch(v, x_vis_raw, p)[0] * probe)), x_text)
+        assert grad_rel_err(grads["x_text"], numeric) <= 1e-4, "x_text"
 
     def test_fully_masked_key_row_gets_zero_grad(self):
         # one key row scores lowest for every query, so with k=1 it is
@@ -376,28 +383,14 @@ class TestFuseBackward:
         p.pos_embed[:] = np.array(
             [[-100.0, -100.0], [1.0, 0.5], [0.5, 1.0], [1.5, 0.25], [0.25, 1.5]]
         )
-        x_text = np.abs(rng(40).normal(size=(3, 2))) + 0.5  # positive queries
-        x_vis_raw = rng(41).normal(size=(5, 2))
-        probe = rng(42).normal(size=(3, 2))
-        _, decision, cache = fuse_forward(x_text, x_vis_raw, p)
-        np.testing.assert_array_equal(decision.mask[:, 0], np.zeros(3))
-        grads = fuse_backward(probe, cache)
-        np.testing.assert_array_equal(grads.pos_embed[0], np.zeros(2))
-
-        def loss(e):
-            trial = small_params(39, d_in=2, rank=2, d=2, n_rows=5, gamma=0.2, phi="identity", pos_scale=0.0)
-            trial.b_feat[:] = 0.0
-            trial.pos_embed = e
-            return float(np.sum(fuse(x_text, x_vis_raw, trial)[0] * probe))
-
-        numeric = fd_grad(loss, p.pos_embed)
+        x_text = np.abs(rng(40).normal(size=(2, 3, 2))) + 0.5  # positive queries
+        x_vis_raw = rng(41).normal(size=(2, 5, 2))
+        probe = rng(42).normal(size=(2, 3, 2))
+        _, cache, _, grads = branch(x_text, x_vis_raw, p, probe)
+        np.testing.assert_array_equal(cache.decision.mask[..., 0], np.zeros((2, 3)))
+        np.testing.assert_array_equal(grads["pos_embed"][0], np.zeros(2))
+        numeric = fd_grad(lambda _: float(np.sum(branch(x_text, x_vis_raw, p)[0] * probe)), p.pos_embed, inplace=True)
         np.testing.assert_allclose(numeric[0], np.zeros(2), atol=1e-8)
-
-    def test_upstream_shape_checked(self):
-        p = small_params(43)
-        _, _, cache = fuse_forward(rng(44).normal(size=(3, 6)), rng(45).normal(size=(5, 4)), p)
-        with pytest.raises(ShapeError):
-            fuse_backward(np.zeros((2, 6)), cache)
 
 
 def _draw(g, shape, quantized):
@@ -433,19 +426,14 @@ def test_batched_site_matches_rank2_calls_and_oracle(batch, n_text, n_rows, d, g
     x_vis_raw = _draw(g, (batch, n_rows, 3), quantized)
     upstream = g.normal(size=(batch, n_text, d))
 
-    values, _ = visual_values(x_vis_raw, p)
-    k_act, k_saved = activation(values, phi)
-    delta, cache = site_forward(queries, values, k_act, p.alpha, gamma, phi)
-    d_queries, factors = site_backward(upstream, cache, values, k_act, p.alpha, phi)
-    d_values = visual_grads([factors], values, k_saved, phi)
-    for b in range(batch):
-        single, decision, single_cache = fuse_forward(queries[b], x_vis_raw[b], p)
-        grads = fuse_backward(upstream[b], single_cache)
-        assert values[b].tobytes() == single_cache.values.tobytes()
+    delta, cache, values, grads = branch(queries, x_vis_raw, p, upstream)
+    for b in range(batch):  # single-sample calls of the same kernel are the rank-2 reference
+        single, single_cache, single_values, single_grads = branch(queries[b], x_vis_raw[b], p, upstream[b])
+        assert values[b].tobytes() == single_values.tobytes()
         assert delta[b].tobytes() == single.tobytes()
-        assert cache.decision.mask[b].tobytes() == decision.mask.tobytes()
-        assert d_queries[b].tobytes() == grads.x_text.tobytes()
-        assert d_values[b].tobytes() == grads.pos_embed.tobytes()
+        assert cache.decision.mask[b].tobytes() == single_cache.decision.mask.tobytes()
+        for name in ("x_text", "values"):
+            assert grads[name][b].tobytes() == single_grads[name].tobytes(), name
         if phi in SCALAR_ACTS:
             out, scores, masks = param_free_scalar(queries[b], values[b], phi, gamma)
             np.testing.assert_allclose(cache.scores[b], scores, rtol=0, atol=1e-12)

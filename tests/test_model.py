@@ -1,5 +1,6 @@
 """Tests for the frozen toy decoder and its placement-configurable fusion."""
 
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -238,6 +239,18 @@ class TestLoss:
         logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         expect = -np.mean(logp[np.arange(2), targets])
         assert abs(loss - expect) < 1e-12
+
+    @pytest.mark.parametrize("shape", [(2, 5, 4), (2, 1, 4), (2, 16, 3)])
+    def test_visual_feature_shape_checked(self, shape):
+        # the model reads 16 rows of width 4; anything else is a ShapeError naming both shapes
+        model = DecoderModel.build(tiny_config())
+        tokens, _, cls_raw, targets = tiny_inputs(14)
+        feats = np.zeros(shape)
+        both_shapes = rf"{re.escape(str(shape))}.*pos_embed \(16, 8\)"
+        with pytest.raises(ShapeError, match=both_shapes):
+            model.forward(tokens, feats, cls_raw)
+        with pytest.raises(ShapeError, match=both_shapes):
+            model.loss_and_grads(tokens, feats, cls_raw, targets)
 
     def test_overlong_sequence_rejected(self):
         model = DecoderModel.build(tiny_config(max_seq=2))

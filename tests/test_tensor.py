@@ -164,6 +164,17 @@ class TestActivationGrads:
             numeric = fd_grad(lambda v: float(np.sum(activation(v, kind)[0] * grad_out)), x)
             np.testing.assert_allclose(analytic, numeric, atol=1e-7)
 
+    def test_elu_and_its_vjp_bit_identical_to_where_formulas(self):
+        # the in-place forms against the np.where forms they replaced
+        x = np.concatenate([TestActivations.SIGMOID_SPECIALS, rng(21).normal(size=100_000)])
+        grad_out = rng(22).normal(size=x.shape)
+        grad_out[:3] = [np.inf, -0.0, np.nan]
+        expect = np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
+        expect_vjp = np.where(x > 0, grad_out, grad_out * np.exp(np.minimum(x, 0.0)))
+        out, saved = activation(x, "elu")
+        assert out.tobytes() == expect.tobytes()
+        assert activation_vjp(x, saved, grad_out, "elu").tobytes() == expect_vjp.tobytes()
+
     def test_softmax_vjp_matches_finite_differences(self):
         g = rng(9)
         x = g.normal(size=(3, 5))
