@@ -52,9 +52,10 @@ class ExperimentConfig(FlatConfig):
     """One training run, fully determined: architecture, task, optimizer.
 
     The architecture and fusion fields are ModelConfig's, less vocab_size,
-    which follows from channels.  Only two defaults differ from
-    ModelConfig's: a run starts from a stronger positional code
-    (pos_scale) and value pair (b_scale)."""
+    which follows from channels, and are checked by ModelConfig.  Only two
+    defaults differ from ModelConfig's: a run starts from a stronger
+    positional code (pos_scale) and value pair (b_scale).  The run sizes
+    n_train, n_test, steps and batch_size must be at least 1."""
 
     pos_scale: float = 0.3
     b_scale: float = 1.0
@@ -72,6 +73,9 @@ class ExperimentConfig(FlatConfig):
     def __post_init__(self):
         model = self.model_config()  # checks and normalizes every field the two share
         self.placement, self.scales = model.placement, model.scales
+        for name in ("n_train", "n_test", "steps", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
     def model_config(self) -> ModelConfig:
         shared = {f.name: getattr(self, f.name) for f in _MODEL_FIELDS}

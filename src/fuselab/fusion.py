@@ -9,9 +9,11 @@ similarity product:
 
 There is no softmax, so row sums are unconstrained and the lowest-scoring
 visual columns of each row can simply be zeroed (`adaptive_mask`).  The
-only trainable tensors are the two low-rank pairs that embed raw visual
-features into the model width, and a per-row positional embedding added to
-the embedded features.
+fusion has no parameters: the only trainable tensors (`FusionParams`) are
+the two low-rank pairs that embed raw visual features into the model
+width, and a per-row positional embedding added to the embedded features.
+The fixed settings alpha, beta, gamma and phi live on the model config
+and reach these functions as arguments.
 
 `site_forward`/`site_backward` are the one implementation of that
 product and its gradients: `param_free_xattn` runs it on one sample, the
@@ -27,18 +29,11 @@ kept as the reference the simplified path is measured against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .tensor import (
-    ACTIVATIONS,
-    FLOAT,
-    ShapeError,
-    activation,
-    activation_vjp,
-    softmax_rows,
-)
+from .tensor import FLOAT, ShapeError, activation, activation_vjp, softmax_rows
 
 
 def drop_count(gamma: float, n: int) -> int:
@@ -49,19 +44,6 @@ def drop_count(gamma: float, n: int) -> int:
 def _check_gamma(gamma: float) -> None:
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"drop ratio must lie in [0, 1), got {gamma}")
-
-
-@dataclass
-class DropDecision:
-    """Binary keep/drop mask for one score matrix.
-
-    mask is (L, N) -- (..., L, N) from a batched site -- with exactly k
-    zeros per row, placed on the k smallest scores of that row (NaN above
-    +inf; ties masked lowest column index first).
-    """
-
-    mask: np.ndarray
-    k: int
 
 
 @dataclass
@@ -92,13 +74,13 @@ class StandardXAttnParams:
 
 @dataclass
 class FusionParams:
-    """Trainable state of the fusion branch plus its fixed hyperparameters.
+    """Trainable tensors of the fusion branch.
 
     a_feat/b_feat: low-rank pair embedding patch features (d_in -> d_model);
     a_cls/b_cls: the analogous pair for the encoder's global token;
-    pos_embed: per-visual-row learnable offset, one row per prompt row;
-    alpha/beta: outer and visual weighting scalars; gamma: drop ratio;
-    phi: name of the similarity projection (see tensor.ACTIVATIONS).
+    pos_embed: per-visual-row learnable offset, one row per prompt row.
+    The fusion's fixed settings (alpha, beta, gamma, phi) live on the
+    model config.
     """
 
     a_feat: np.ndarray
@@ -106,15 +88,8 @@ class FusionParams:
     a_cls: np.ndarray
     b_cls: np.ndarray
     pos_embed: np.ndarray
-    alpha: float = 0.1
-    beta: float = 0.01
-    gamma: float = 0.2
-    phi: str = "silu"
 
     def __post_init__(self):
-        _check_gamma(self.gamma)
-        if self.phi not in ACTIVATIONS:
-            raise ValueError(f"unknown projection {self.phi!r}; expected one of {ACTIVATIONS}")
         d_in, rank = self.a_feat.shape
         if self.b_feat.shape[0] != rank:
             raise ShapeError(f"a_feat {self.a_feat.shape} and b_feat {self.b_feat.shape} do not compose")
@@ -135,10 +110,6 @@ class FusionParams:
         rank: int,
         n_rows: int,
         *,
-        alpha: float = 0.1,
-        beta: float = 0.01,
-        gamma: float = 0.2,
-        phi: str = "silu",
         pos_scale: float = 0.1,
         b_scale: float = 0.1,
     ) -> "FusionParams":
@@ -160,10 +131,6 @@ class FusionParams:
             b_feat=rng.uniform(-b_scale, b_scale, size=(rank, d_model)),
             b_cls=rng.uniform(-b_scale, b_scale, size=(rank, d_model)),
             pos_embed=rng.uniform(-pos_scale, pos_scale, size=(n_rows, d_model)),
-            alpha=alpha,
-            beta=beta,
-            gamma=gamma,
-            phi=phi,
         )
 
     @property
@@ -171,17 +138,8 @@ class FusionParams:
         return self.pos_embed.shape[0]
 
     def trainable(self) -> dict[str, np.ndarray]:
-        """Named trainable tensors; the scalars are fixed hyperparameters."""
-        return {
-            "a_feat": self.a_feat,
-            "b_feat": self.b_feat,
-            "a_cls": self.a_cls,
-            "b_cls": self.b_cls,
-            "pos_embed": self.pos_embed,
-        }
-
-    def trainable_count(self) -> int:
-        return sum(t.size for t in self.trainable().values())
+        """Named trainable tensors, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def standard_xattn(x_text: np.ndarray, x_vis: np.ndarray, p: StandardXAttnParams) -> np.ndarray:
@@ -201,8 +159,8 @@ def standard_xattn(x_text: np.ndarray, x_vis: np.ndarray, p: StandardXAttnParams
     return (weights @ v) @ p.w_o.T
 
 
-def adaptive_mask(scores: np.ndarray, gamma: float) -> DropDecision:
-    """Per-row keep/drop decision: zero out the floor(gamma*N) smallest scores.
+def adaptive_mask(scores: np.ndarray, gamma: float) -> np.ndarray:
+    """Per-row float keep mask: zero out the k = floor(gamma*N) smallest scores.
 
     The mask is that of a stable ascending sort of each row, NaN above
     +inf, found in O(N) per row: np.partition picks the row's k-th smallest
@@ -218,7 +176,7 @@ def adaptive_mask(scores: np.ndarray, gamma: float) -> DropDecision:
     n_rows, n_cols = scores.shape
     k = drop_count(gamma, n_cols)
     if k == 0:
-        return DropDecision(mask=np.ones((n_rows, n_cols), dtype=FLOAT), k=0)
+        return np.ones((n_rows, n_cols), dtype=FLOAT)
     threshold = np.partition(scores, k - 1, axis=1)[:, k - 1 : k]
     drop = scores < threshold
     ties = scores == threshold
@@ -234,7 +192,7 @@ def adaptive_mask(scores: np.ndarray, gamma: float) -> DropDecision:
         crowded_ties = ties[crowded]
         ties[crowded] = crowded_ties & (np.cumsum(crowded_ties, axis=1) <= need[crowded, None])
     drop |= ties
-    return DropDecision(mask=np.logical_not(drop).astype(FLOAT), k=k)
+    return np.logical_not(drop).astype(FLOAT)
 
 
 def param_free_xattn(
@@ -242,10 +200,10 @@ def param_free_xattn(
     x_vis: np.ndarray,
     phi: str = "silu",
     gamma: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray, DropDecision]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Projection-free cross-attention over already-embedded visual rows.
 
-    Returns (out, scores, decision) where scores = phi(x_text) @ phi(x_vis).T
+    Returns (out, scores, mask) where scores = phi(x_text) @ phi(x_vis).T
     and out = (scores * mask) @ x_vis.
     """
     if x_text.ndim != 2 or x_vis.ndim != 2:
@@ -253,7 +211,7 @@ def param_free_xattn(
     if x_text.shape[1] != x_vis.shape[1]:
         raise ShapeError(f"feature widths differ: {x_text.shape} vs {x_vis.shape}")
     out, site = site_forward(x_text, x_vis, activation(x_vis, phi)[0], 1.0, gamma, phi)
-    return out, site.scores, site.decision
+    return out, site.scores, site.mask
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +226,7 @@ class SiteCache:
     q_act: np.ndarray  # phi(queries)
     q_saved: np.ndarray | None  # what activation_vjp reads besides the queries
     scores: np.ndarray  # (..., L, N)
-    decision: DropDecision
+    mask: np.ndarray  # (..., L, N) float keep mask from adaptive_mask
 
 
 def site_forward(
@@ -287,10 +245,9 @@ def site_forward(
     """
     q_act, q_saved = activation(queries, phi)
     scores = q_act @ np.swapaxes(k_act, -1, -2)
-    decision = adaptive_mask(scores.reshape(-1, scores.shape[-1]), gamma)
-    decision.mask = decision.mask.reshape(scores.shape)
-    delta = alpha * ((scores * decision.mask) @ values)
-    return delta, SiteCache(queries=queries, q_act=q_act, q_saved=q_saved, scores=scores, decision=decision)
+    mask = adaptive_mask(scores.reshape(-1, scores.shape[-1]), gamma).reshape(scores.shape)
+    delta = alpha * ((scores * mask) @ values)
+    return delta, SiteCache(queries=queries, q_act=q_act, q_saved=q_saved, scores=scores, mask=mask)
 
 
 def site_backward(
@@ -310,7 +267,7 @@ def site_backward(
     drop mask M is a constant: kept score entries pass the gradient
     straight through, dropped entries contribute exactly zero.
     """
-    mask = cache.decision.mask
+    mask = cache.mask
     d_out = alpha * d_delta
     d_scores = (d_out @ np.swapaxes(values, -1, -2)) * mask
     d_queries = activation_vjp(cache.queries, cache.q_saved, d_scores @ k_act, phi)
@@ -334,7 +291,7 @@ def visual_grads(factors, values: np.ndarray, k_saved: np.ndarray | None, phi: s
 # the fusion branch: low-rank visual embedding feeding the site
 
 
-def visual_values(x_vis_raw: np.ndarray, p: FusionParams) -> tuple[np.ndarray, np.ndarray]:
+def visual_values(x_vis_raw: np.ndarray, p: FusionParams, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """(values, low_rank) with values = (x_vis_raw @ a_feat) @ (beta * b_feat) + pos_embed.
 
     beta scales only the embedded features, through the small b_feat; the
@@ -347,7 +304,7 @@ def visual_values(x_vis_raw: np.ndarray, p: FusionParams) -> tuple[np.ndarray, n
             f"({p.n_rows}, {p.a_feat.shape[0]}) to match pos_embed {p.pos_embed.shape} and a_feat {p.a_feat.shape}"
         )
     low_rank = x_vis_raw @ p.a_feat
-    values = low_rank @ (p.beta * p.b_feat)
+    values = low_rank @ (beta * p.b_feat)
     values += p.pos_embed  # in place: these (B, N, d) temporaries dominate allocation
     return values, low_rank
 

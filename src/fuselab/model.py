@@ -11,13 +11,15 @@ and the resulting delta is added to the stream at `add_to`.  Taps are
 sublayer boundary values (block input, attention output before its
 residual add, the post-attention stream, MLP output before its residual
 add), and when query and add points coincide the query always reads the
-pre-add value.  All sites share one FusionParams: the low-rank pairs and
-the visual positional embedding are global, so blocks differ only in
+pre-add value.  All sites share one FusionParams and one ModelConfig:
+the low-rank pairs, the visual positional embedding and the fixed
+settings alpha, beta, gamma and phi are global, so blocks differ only in
 where fusion attaches.
 
 Everything runs batched (batch, seq, d) in float64, with a hand-written
-backward pass that produces gradients only for the fusion tensors; the
-frozen base contributes vector-Jacobian products but receives no updates.
+backward pass that produces gradients only for the fusion tensors, as a
+dict keyed like `trainable_tensors()`; the frozen base contributes
+vector-Jacobian products but receives no updates.
 """
 
 from __future__ import annotations
@@ -28,13 +30,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .fusion import FusionParams, low_rank_vjp, site_backward, site_forward, visual_grads, visual_values
+from .fusion import FusionParams, _check_gamma, low_rank_vjp, site_backward, site_forward, visual_grads, visual_values
 from .prompt import check_prompt, prompt_rows
-from .tensor import FLOAT, ShapeError, activation, load_tensor, save_tensor, sigmoid, silu_grad, softmax_rows
+from .tensor import ACTIVATIONS, FLOAT, ShapeError, activation, load_tensor, save_tensor, sigmoid, silu_grad, softmax_rows
 
 LN_EPS = 1e-5
-
-PLACEMENT_POINTS = ("mhsa_in", "mhsa_out", "mlp_in", "mlp_out")
 
 # the six legal (query_from, add_to) rows; add point never precedes query point
 LEGAL_PLACEMENTS = (
@@ -95,10 +95,13 @@ def _json_value(value):
 
 @dataclass
 class ModelConfig(FlatConfig):
-    """Architecture plus fusion hyperparameters; seed fixes every weight.
+    """Architecture plus the fusion's fixed settings; seed fixes every weight.
 
-    Construction rejects what cannot be built: an illegal placement, a
-    non-positive size, or a prompt that `check_prompt` refuses."""
+    This is the one home of alpha (outer weight), beta (visual weight),
+    gamma (drop ratio) and phi (similarity projection, see
+    tensor.ACTIVATIONS).  Construction rejects what cannot be built: an
+    illegal placement, a non-positive size, a gamma outside [0, 1), an
+    unknown phi, or a prompt that `check_prompt` refuses."""
 
     n_blocks: int = 2
     d_model: int = 64
@@ -121,6 +124,9 @@ class ModelConfig(FlatConfig):
         if isinstance(self.placement, (tuple, list)):
             self.placement = PlacementConfig(*self.placement)
         self.scales = check_prompt(self.scales, self.pool)
+        _check_gamma(self.gamma)
+        if self.phi not in ACTIVATIONS:
+            raise ValueError(f"unknown projection {self.phi!r}; expected one of {ACTIVATIONS}")
         for name in ("n_blocks", "d_model", "d_in", "rank", "vocab_size", "max_seq"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -166,24 +172,7 @@ class DecoderBlock:
         )
 
     def tensors(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in (
-            "w_q", "w_k", "w_v", "w_o", "ln1_g", "ln1_b",
-            "w_mlp1", "b_mlp1", "w_mlp2", "b_mlp2", "ln2_g", "ln2_b",
-        )}
-
-
-@dataclass
-class ModelGrads:
-    """Gradients for the trainable fusion tensors, keyed like trainable()."""
-
-    a_feat: np.ndarray
-    b_feat: np.ndarray
-    a_cls: np.ndarray
-    b_cls: np.ndarray
-    pos_embed: np.ndarray
-
-    def items(self):
-        return vars(self).items()
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 # ---------------------------------------------------------------------------
@@ -262,18 +251,18 @@ SUBLAYERS = (
 )
 
 
-def _block_forward(x, blk: DecoderBlock, fusion: FusionParams, keys, placement: PlacementConfig):
+def _block_forward(x, blk: DecoderBlock, keys, cfg: ModelConfig):
     """One block; keys = (values, phi(values)) is the visual side every site shares.
 
     When the query and add points coincide, the site reads the pre-add value.
     """
-    q_from, add_to = placement.as_tuple()
+    q_from, add_to = cfg.placement.as_tuple()
     caches, delta, site = [], None, None
 
     def tap(point, value):
         nonlocal delta, site
         if point == q_from:
-            delta, site = site_forward(value, *keys, fusion.alpha, fusion.gamma, fusion.phi)
+            delta, site = site_forward(value, *keys, cfg.alpha, cfg.gamma, cfg.phi)
         return value + delta if point == add_to else value
 
     for p_in, p_out, ln, forward, _ in SUBLAYERS:
@@ -285,20 +274,20 @@ def _block_forward(x, blk: DecoderBlock, fusion: FusionParams, keys, placement: 
     return x, (caches, site)
 
 
-def _block_backward(d_out, cache, blk: DecoderBlock, fusion: FusionParams, keys, placement: PlacementConfig):
+def _block_backward(d_out, cache, blk: DecoderBlock, keys, cfg: ModelConfig):
     """Returns (d_block_input, factors) -- the site's rank-L factors for visual_grads.
 
     Walking backward, the add point comes before (or at) the query point,
     so the query-path gradient is ready when its tap is reached.
     """
-    q_from, add_to = placement.as_tuple()
+    q_from, add_to = cfg.placement.as_tuple()
     caches, site = cache
     d_query = factors = None
 
     def tap(point, grad):
         nonlocal d_query, factors
         if point == add_to:
-            d_query, factors = site_backward(grad, site, *keys, fusion.alpha, fusion.phi)
+            d_query, factors = site_backward(grad, site, *keys, cfg.alpha, cfg.phi)
         return grad + d_query if point == q_from else grad
 
     for (p_in, p_out, ln, _, backward), (ln_cache, sub_cache) in zip(reversed(SUBLAYERS), reversed(caches)):
@@ -330,19 +319,8 @@ class DecoderModel:
         lnf_g = np.ones(d, dtype=FLOAT)
         lnf_b = np.zeros(d, dtype=FLOAT)
         w_head = rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, config.vocab_size))
-        fusion = FusionParams.init(
-            rng,
-            d_in=config.d_in,
-            d_model=d,
-            rank=config.rank,
-            n_rows=config.n_rows,
-            alpha=config.alpha,
-            beta=config.beta,
-            gamma=config.gamma,
-            phi=config.phi,
-            pos_scale=config.pos_scale,
-            b_scale=config.b_scale,
-        )
+        fusion = FusionParams.init(rng, d_in=config.d_in, d_model=d, rank=config.rank, n_rows=config.n_rows,
+                                   pos_scale=config.pos_scale, b_scale=config.b_scale)
         return cls(config, embed, blocks, lnf_g, lnf_b, w_head, fusion)
 
     # --- parameter bookkeeping -------------------------------------------
@@ -357,9 +335,6 @@ class DecoderModel:
 
     def trainable_tensors(self) -> dict[str, np.ndarray]:
         return self.fusion.trainable()
-
-    def trainable_count(self) -> int:
-        return self.fusion.trainable_count()
 
     # --- forward / backward ----------------------------------------------
 
@@ -378,29 +353,31 @@ class DecoderModel:
         x, cls_low = self._input_stream(tokens, cls_raw)
         caches = []
         for blk in self.blocks:
-            x, cache = _block_forward(x, blk, self.fusion, keys, self.config.placement)
+            x, cache = _block_forward(x, blk, keys, self.config)
             caches.append(cache)
         nf, lnf_cache = _ln_forward(x, self.lnf_g, self.lnf_b)
         return nf @ self.w_head, (cls_low, caches, lnf_cache)
 
     def forward(self, tokens, feats, cls_raw, *, want_masks=False):
         """Logits (batch, T+1, vocab); optionally the per-block keep masks."""
-        values = visual_values(feats, self.fusion)[0]  # phi's saved state is dropped: only backward reads it
-        logits, (_, caches, _) = self._forward(tokens, (values, activation(values, self.fusion.phi)[0]), cls_raw)
+        cfg = self.config
+        values = visual_values(feats, self.fusion, cfg.beta)[0]  # phi's saved state is dropped: only backward reads it
+        logits, (_, caches, _) = self._forward(tokens, (values, activation(values, cfg.phi)[0]), cls_raw)
         if want_masks:
-            return logits, [site.decision.mask for _, site in caches]
+            return logits, [site.mask for _, site in caches]
         return logits
 
     def loss_and_grads(self, tokens, feats, cls_raw, targets, answer_mask=None):
-        """Mean cross-entropy over answer positions and fusion gradients.
+        """Mean cross-entropy over answer positions, and its gradients.
 
+        The gradients are a dict keyed and ordered like trainable_tensors().
         targets is (batch,) for the default answer position (the last), or
         (batch, T+1) with answer_mask marking which positions count.  An
         all-false mask contributes zero loss and zero gradients.
         """
-        f = self.fusion
-        values, low_rank = visual_values(feats, f)
-        k_act, k_saved = activation(values, f.phi)
+        f, cfg = self.fusion, self.config
+        values, low_rank = visual_values(feats, f, cfg.beta)
+        k_act, k_saved = activation(values, cfg.phi)
         logits, (cls_low, caches, lnf_cache) = self._forward(tokens, (values, k_act), cls_raw)
         b, s, vocab = logits.shape
         if answer_mask is None:
@@ -429,16 +406,16 @@ class DecoderModel:
         d_x = _ln_backward(d_nf, lnf_cache, self.lnf_g)
         factors = []
         for blk, cache in zip(reversed(self.blocks), reversed(caches)):
-            d_x, site_factors = _block_backward(d_x, cache, blk, f, (values, k_act), self.config.placement)
+            d_x, site_factors = _block_backward(d_x, cache, blk, (values, k_act), cfg)
             factors.append(site_factors)
 
         # one (B, N, d) cotangent for every site, formed after phi(values) is freed
         del k_act
-        d_values = visual_grads(factors, values, k_saved, f.phi)
-        d_a_feat, d_b_feat = low_rank_vjp(d_values, feats, low_rank, f.beta * f.b_feat)
-        d_b_feat *= f.beta  # beta scales the (r, d) factors, never the (B, N, d) d_values
+        d_values = visual_grads(factors, values, k_saved, cfg.phi)
+        d_a_feat, d_b_feat = low_rank_vjp(d_values, feats, low_rank, cfg.beta * f.b_feat)
+        d_b_feat *= cfg.beta  # beta scales the (r, d) factors, never the (B, N, d) d_values
         d_a_cls, d_b_cls = low_rank_vjp(d_x[:, :1, :], cls_raw, cls_low, f.b_cls)
-        return loss, ModelGrads(d_a_feat, d_b_feat, d_a_cls, d_b_cls, pos_embed=d_values.sum(axis=0))
+        return loss, dict(a_feat=d_a_feat, b_feat=d_b_feat, a_cls=d_a_cls, b_cls=d_b_cls, pos_embed=d_values.sum(axis=0))
 
     def predict(self, tokens, feats, cls_raw) -> np.ndarray:
         """Greedy answer ids read from the final position."""

@@ -1,4 +1,4 @@
-"""Trainer for the fusion branch: SGD with momentum under a cosine schedule.
+"""Trainer for the fusion branch: SGD with fixed momentum under a cosine schedule.
 
 Only the fusion tensors move; the base LM stays frozen by construction
 because the update loop iterates over the model's trainable set alone.
@@ -100,8 +100,6 @@ def train_model(
     seed: int = 0,
     encoder_seed: int | None = None,
     base_lr: float = BASE_LR,
-    momentum: float = MOMENTUM,
-    log_every: int = 0,
 ) -> TrainResult:
     """Optimize the fusion tensors in place; returns the loss trajectory.
 
@@ -132,13 +130,11 @@ def train_model(
             )
         lr = cosine_lr(step, steps, base_lr)
         for name, grad in grads.items():
-            velocity[name] *= momentum
+            velocity[name] *= MOMENTUM
             velocity[name] -= lr * grad
             trainable[name] += velocity[name]
         losses[step] = loss
         lrs[step] = lr
-        if log_every and step % log_every == 0:
-            print(f"step {step:5d}  loss {loss:.4f}  lr {lr:.2e}")
     accuracy = (
         evaluate(model, test_set, encoder_seed=encoder_seed) if test_set is not None else float("nan")
     )

@@ -124,13 +124,13 @@ def per_site_visual_grads(sites, values, alpha, key_vjp):
     (S*M)^T (alpha dDelta) plus key_vjp(d_scores^T phi(Q)) for each site.
 
     sites holds (d_delta, cache) pairs with cache.scores, cache.q_act and
-    cache.decision.mask from site_forward; key_vjp pulls a cotangent of
+    cache.mask from site_forward; key_vjp pulls a cotangent of
     phi(values) back to values.  This is the per-site form that
     `visual_grads` folds into one product per path.
     """
     total = np.zeros(values.shape)
     for d_delta, cache in sites:
-        mask = cache.decision.mask
+        mask = cache.mask
         d_out = alpha * d_delta
         d_scores = (d_out @ np.swapaxes(values, -1, -2)) * mask
         total += np.swapaxes(cache.scores * mask, -1, -2) @ d_out

@@ -95,6 +95,16 @@ class TestTrainCommand:
         err = json.loads(capsys.readouterr().err)
         assert "ADEMVL_SEED" in err["message"]
 
+    @pytest.mark.parametrize("field", ["steps", "n_test", "batch_size", "n_train"])
+    def test_run_size_below_one_is_structured_error(self, field, tiny_config_file, tmp_path, capsys):
+        config = json.loads(tiny_config_file.read_text())
+        tiny_config_file.write_text(json.dumps({**config, field: 0}))
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(tiny_config_file), "--out", str(out_dir)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message": f"{field} must be at least 1, got 0", "command": "train"}
+        assert not out_dir.exists()
+
     def test_missing_config_file(self, capsys):
         assert main(["train", "--config", "/no/such/file.json"]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"

@@ -28,7 +28,10 @@ MODEL_DEFAULT = {
     "scales": [1, 2], "pool": "avg", "pos_scale": 0.1, "b_scale": 0.1, "seed": 0,
 }
 
-UNBUILDABLE = [{"scales": (3,)}, {"scales": ()}, {"scales": (1, 1)}, {"pool": "median"}]
+UNBUILDABLE = [
+    {"scales": (3,)}, {"scales": ()}, {"scales": (1, 1)}, {"pool": "median"},
+    {"gamma": 1.0}, {"gamma": -0.1}, {"phi": "gelu"},
+]
 
 
 class TestDictForms:
@@ -56,7 +59,10 @@ class TestDictForms:
         assert model == {**MODEL_DEFAULT, "pos_scale": 0.3, "b_scale": 1.0}
 
 
-@pytest.mark.parametrize("bad", UNBUILDABLE, ids=["scale-3", "no-scales", "repeated-scale", "median-pool"])
+@pytest.mark.parametrize(
+    "bad", UNBUILDABLE,
+    ids=["scale-3", "no-scales", "repeated-scale", "median-pool", "gamma-1", "gamma-negative", "gelu-phi"],
+)
 def test_unbuildable_prompt_rejected_at_construction(bad, tmp_path):
     with pytest.raises(ValueError):
         ModelConfig(**bad)

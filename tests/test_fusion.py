@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuselab.fusion import (
-    DropDecision,
     FusionParams,
     StandardXAttnParams,
     adaptive_mask,
@@ -38,7 +37,7 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def small_params(seed=0, *, d_in=4, rank=3, d=6, n_rows=5, pos_scale=0.3, **hyper):
+def small_params(seed=0, *, d_in=4, rank=3, d=6, n_rows=5, pos_scale=0.3):
     g = rng(seed)
     return FusionParams(
         a_feat=g.normal(size=(d_in, rank)),
@@ -46,7 +45,6 @@ def small_params(seed=0, *, d_in=4, rank=3, d=6, n_rows=5, pos_scale=0.3, **hype
         a_cls=g.normal(size=(d_in, rank)),
         b_cls=g.normal(size=(rank, d)),
         pos_embed=g.uniform(-pos_scale, pos_scale, size=(n_rows, d)),
-        **hyper,
     )
 
 
@@ -85,12 +83,12 @@ class TestStandardXAttn:
 
 class TestParamFreeXAttn:
     def test_hand_example_identity(self):
-        out, scores, decision = param_free_xattn(
+        out, scores, mask = param_free_xattn(
             np.array([[1.0, -1.0]]), np.array([[2.0, 0.0], [0.0, 1.0]]), phi="identity", gamma=0.0
         )
         np.testing.assert_array_equal(scores, [[2.0, -1.0]])
         np.testing.assert_array_equal(out, [[4.0, -1.0]])
-        assert decision.k == 0
+        np.testing.assert_array_equal(mask, [[1.0, 1.0]])
 
     def test_zero_visual_annihilates(self):
         x_text = rng(4).normal(size=(3, 4))
@@ -118,9 +116,9 @@ class TestParamFreeXAttn:
         g = rng(7)
         x_text = g.normal(size=(3, 4))
         x_vis = g.normal(size=(5, 4))
-        out, _, decision = param_free_xattn(x_text, x_vis, phi="silu", gamma=0.4)
+        out, _, mask = param_free_xattn(x_text, x_vis, phi="silu", gamma=0.4)
         expect_out, _, expect_masks = param_free_scalar(x_text, x_vis, "silu", 0.4)
-        np.testing.assert_array_equal(decision.mask, expect_masks)
+        np.testing.assert_array_equal(mask, expect_masks)
         np.testing.assert_allclose(out, expect_out, atol=1e-12)
 
     def test_gamma_out_of_range(self):
@@ -150,26 +148,22 @@ def _score_rows(draw):
 class TestAdaptiveMask:
     def test_single_drop(self):
         s = np.array([[0.5, 0.1, 0.3, 0.2, 0.9]])
-        decision = adaptive_mask(s, 0.2)
-        assert decision.k == 1
-        np.testing.assert_array_equal(decision.mask, [[1.0, 0.0, 1.0, 1.0, 1.0]])
-        np.testing.assert_array_equal(s * decision.mask, [[0.5, 0.0, 0.3, 0.2, 0.9]])
+        mask = adaptive_mask(s, 0.2)
+        np.testing.assert_array_equal(mask, [[1.0, 0.0, 1.0, 1.0, 1.0]])
+        np.testing.assert_array_equal(s * mask, [[0.5, 0.0, 0.3, 0.2, 0.9]])
 
     def test_tie_breaks_to_lower_index(self):
         s = np.array([[0.2, 0.2, 0.5, 0.6, 0.7]])
-        decision = adaptive_mask(s, 0.4)
-        assert decision.k == 2
-        np.testing.assert_array_equal(s * decision.mask, [[0.0, 0.0, 0.5, 0.6, 0.7]])
+        mask = adaptive_mask(s, 0.4)
+        np.testing.assert_array_equal(s * mask, [[0.0, 0.0, 0.5, 0.6, 0.7]])
 
     def test_gamma_zero_keeps_all(self):
         s = rng(8).normal(size=(4, 6))
-        decision = adaptive_mask(s, 0.0)
-        assert decision.k == 0
-        np.testing.assert_array_equal(decision.mask, np.ones((4, 6)))
+        np.testing.assert_array_equal(adaptive_mask(s, 0.0), np.ones((4, 6)))
 
     def test_unmasked_entries_pass_through(self):
         s = rng(9).normal(size=(3, 10))
-        masked = s * adaptive_mask(s, 0.3).mask
+        masked = s * adaptive_mask(s, 0.3)
         kept = masked != 0
         np.testing.assert_array_equal(masked[kept], s[kept])
 
@@ -182,52 +176,38 @@ class TestAdaptiveMask:
     )
     def test_cardinality_and_membership(self, n_rows, n_cols, gamma, seed):
         s = np.random.default_rng(seed).normal(size=(n_rows, n_cols))
-        decision = adaptive_mask(s, gamma)
+        mask = adaptive_mask(s, gamma)
         k = drop_count(gamma, n_cols)
-        assert decision.k == k
-        zeros_per_row = np.sum(decision.mask == 0.0, axis=1)
+        zeros_per_row = np.sum(mask == 0.0, axis=1)
         assert np.all(zeros_per_row == k)
         for r in range(n_rows):
             expect = set(smallest_k_indices(list(s[r]), k))
-            assert set(np.flatnonzero(decision.mask[r] == 0.0)) == expect
+            assert set(np.flatnonzero(mask[r] == 0.0)) == expect
 
     @settings(max_examples=300, deadline=None)
     @given(scores=_score_rows(), gamma=st.floats(0.0, 0.999))
     def test_matches_stable_argsort_with_ties_zeros_infs_and_nans(self, scores, gamma):
-        decision = adaptive_mask(scores, gamma)
-        assert np.all(np.sum(decision.mask == 0.0, axis=1) == decision.k)
-        assert decision.mask.tobytes() == argsort_mask(scores, decision.k).tobytes()
+        mask = adaptive_mask(scores, gamma)
+        k = drop_count(gamma, scores.shape[1])
+        assert np.all(np.sum(mask == 0.0, axis=1) == k)
+        assert mask.tobytes() == argsort_mask(scores, k).tobytes()
 
     def test_nan_heavy_row_drops_exactly_k(self):
         # the 5th smallest is a NaN: every number goes, then NaNs by column
         s = np.array([[np.nan, 1.0, np.nan, 0.0, -np.inf, np.inf, np.nan, np.nan, np.nan, np.nan]])
-        decision = adaptive_mask(s, 0.5)
-        np.testing.assert_array_equal(decision.mask, [[0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0]])
+        np.testing.assert_array_equal(adaptive_mask(s, 0.5), [[0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0]])
 
     def test_monotone_non_expansion(self):
         s = rng(10).normal(size=(4, 10))
-        kept = [np.sum(adaptive_mask(s, g).mask) for g in (0.0, 0.1, 0.2, 0.3, 0.4, 0.7)]
+        kept = [np.sum(adaptive_mask(s, g)) for g in (0.0, 0.1, 0.2, 0.3, 0.4, 0.7)]
         assert all(a >= b for a, b in zip(kept, kept[1:]))
 
     def test_duplicate_heavy_rows(self):
         s = np.zeros((2, 8))
-        decision = adaptive_mask(s, 0.5)
-        np.testing.assert_array_equal(
-            decision.mask, np.repeat([[0.0] * 4 + [1.0] * 4], 2, axis=0)
-        )
+        np.testing.assert_array_equal(adaptive_mask(s, 0.5), np.repeat([[0.0] * 4 + [1.0] * 4], 2, axis=0))
 
 
 class TestFusionParams:
-    def test_gamma_range_enforced(self):
-        with pytest.raises(ValueError):
-            small_params(gamma=1.0)
-        with pytest.raises(ValueError):
-            small_params(gamma=-0.1)
-
-    def test_phi_validated(self):
-        with pytest.raises(ValueError):
-            small_params(phi="gelu")
-
     def test_shape_coherence_enforced(self):
         g = rng(13)
         with pytest.raises(ShapeError):
@@ -253,27 +233,29 @@ class TestFusionParams:
         assert np.any(p.pos_embed != 0.0)
         assert np.max(np.abs(p.b_feat)) <= 0.1 and np.max(np.abs(p.pos_embed)) <= 0.1
 
-    def test_trainable_count(self):
+    def test_trainable_size(self):
         p = small_params()
-        assert p.trainable_count() == 2 * (4 * 3 + 3 * 6) + 5 * 6
+        assert list(p.trainable()) == ["a_feat", "b_feat", "a_cls", "b_cls", "pos_embed"]
+        assert sum(t.size for t in p.trainable().values()) == 2 * (4 * 3 + 3 * 6) + 5 * 6
 
 
-def branch(x_text, x_vis_raw, p, upstream=None):
+def branch(x_text, x_vis_raw, p, upstream=None, *, alpha=0.1, beta=0.01, gamma=0.2, phi="silu"):
     """The fusion branch on the site kernel, for one sample or a batch.
 
-    Returns (delta, site cache, values, grads), grads being those of
-    sum(upstream * delta) -- None without an upstream.
+    The keyword settings default to ModelConfig's.  Returns (delta, site
+    cache, values, grads), grads being those of sum(upstream * delta) --
+    None without an upstream.
     """
-    values, low_rank = visual_values(x_vis_raw, p)
-    k_act, k_saved = activation(values, p.phi)
-    delta, cache = site_forward(x_text, values, k_act, p.alpha, p.gamma, p.phi)
+    values, low_rank = visual_values(x_vis_raw, p, beta)
+    k_act, k_saved = activation(values, phi)
+    delta, cache = site_forward(x_text, values, k_act, alpha, gamma, phi)
     if upstream is None:
         return delta, cache, values, None
-    d_x_text, factors = site_backward(upstream, cache, values, k_act, p.alpha, p.phi)
-    d_values = visual_grads([factors], values, k_saved, p.phi)
-    d_a_feat, d_b_feat = low_rank_vjp(d_values, x_vis_raw, low_rank, p.beta * p.b_feat)
+    d_x_text, factors = site_backward(upstream, cache, values, k_act, alpha, phi)
+    d_values = visual_grads([factors], values, k_saved, phi)
+    d_a_feat, d_b_feat = low_rank_vjp(d_values, x_vis_raw, low_rank, beta * p.b_feat)
     pos_embed = d_values.reshape(-1, *p.pos_embed.shape).sum(axis=0)
-    return delta, cache, values, {"a_feat": d_a_feat, "b_feat": p.beta * d_b_feat, "pos_embed": pos_embed,
+    return delta, cache, values, {"a_feat": d_a_feat, "b_feat": beta * d_b_feat, "pos_embed": pos_embed,
                                   "x_text": d_x_text, "values": d_values}
 
 
@@ -288,12 +270,12 @@ class TestFuse:
         np.testing.assert_array_equal(delta, np.zeros((2, 3, 6)))
 
     def test_alpha_zero_annihilates(self):
-        p = small_params(alpha=0.0)
-        delta = branch(rng(18).normal(size=(2, 3, 6)), rng(19).normal(size=(2, 5, 4)), p)[0]
+        p = small_params()
+        delta = branch(rng(18).normal(size=(2, 3, 6)), rng(19).normal(size=(2, 5, 4)), p, alpha=0.0)[0]
         np.testing.assert_array_equal(delta, np.zeros((2, 3, 6)))
 
     def test_pipeline_matches_scalar_oracle(self):
-        p = small_params(20, alpha=0.1, beta=0.01, gamma=0.2, phi="silu")
+        p = small_params(20)
         x_text = rng(21).normal(size=(3, 6))
         x_vis_raw = rng(22).normal(size=(5, 4))
         x_emb = matmul_lists(matmul_lists(x_vis_raw.tolist(), p.a_feat.tolist()), p.b_feat.tolist())
@@ -301,23 +283,23 @@ class TestFuse:
             [0.01 * x_emb[i][j] + p.pos_embed[i, j] for j in range(6)] for i in range(5)
         ]
         expect_out, _, _ = param_free_scalar(x_text, values, "silu", 0.2)
-        delta = branch(x_text, x_vis_raw, p)[0]
+        delta = branch(x_text, x_vis_raw, p, alpha=0.1, beta=0.01, gamma=0.2, phi="silu")[0]
         np.testing.assert_allclose(delta, 0.1 * np.asarray(expect_out), atol=1e-12)
 
     def test_alpha_doubling_is_exact(self):
-        base = small_params(23, alpha=0.171)
-        doubled = small_params(23, alpha=0.342)
+        p = small_params(23)
         x_text = rng(24).normal(size=(2, 3, 6))
         x_vis_raw = rng(25).normal(size=(2, 5, 4))
-        np.testing.assert_array_equal(branch(x_text, x_vis_raw, doubled)[0], 2.0 * branch(x_text, x_vis_raw, base)[0])
+        doubled = branch(x_text, x_vis_raw, p, alpha=0.342)[0]
+        np.testing.assert_array_equal(doubled, 2.0 * branch(x_text, x_vis_raw, p, alpha=0.171)[0])
 
     def test_masking_equals_manual_zeroing(self):
-        p = small_params(26, gamma=0.4)
+        p = small_params(26)
         x_text = rng(27).normal(size=(2, 3, 6))
         x_vis_raw = rng(28).normal(size=(2, 5, 4))
-        delta, cache, values, _ = branch(x_text, x_vis_raw, p)
-        np.testing.assert_array_equal(np.sum(cache.decision.mask == 0.0, axis=-1), 2)
-        manual = p.alpha * ((cache.scores * cache.decision.mask) @ values)
+        delta, cache, values, _ = branch(x_text, x_vis_raw, p, alpha=0.1, gamma=0.4)
+        np.testing.assert_array_equal(np.sum(cache.mask == 0.0, axis=-1), 2)
+        manual = 0.1 * ((cache.scores * cache.mask) @ values)
         np.testing.assert_array_equal(delta, manual)
 
     def test_row_count_mismatch_rejected(self):
@@ -325,17 +307,18 @@ class TestFuse:
         p = small_params()
         for shape in ((4, 4), (2, 6, 4), (2, 5, 3), (4,)):
             with pytest.raises(ShapeError, match=r"pos_embed \(5, 6\)"):
-                visual_values(np.zeros(shape), p)
+                visual_values(np.zeros(shape), p, 0.01)
 
     def test_beta_scales_features_not_positions(self):
         # with B=0 the embedded features vanish, so beta must have no effect
         p0 = small_params(29, pos_scale=0.3)
         p0.b_feat[:] = 0.0
-        pbig = small_params(29, pos_scale=0.3, beta=100.0)
+        pbig = small_params(29, pos_scale=0.3)
         pbig.b_feat[:] = 0.0
         x_text = rng(30).normal(size=(2, 3, 6))
         x_vis_raw = rng(31).normal(size=(2, 5, 4))
-        np.testing.assert_array_equal(branch(x_text, x_vis_raw, p0)[0], branch(x_text, x_vis_raw, pbig)[0])
+        big = branch(x_text, x_vis_raw, pbig, beta=100.0)[0]
+        np.testing.assert_array_equal(branch(x_text, x_vis_raw, p0)[0], big)
 
 
 class TestFuseBackward:
@@ -348,37 +331,40 @@ class TestFuseBackward:
             np.testing.assert_array_equal(g, np.zeros_like(g))
 
     def test_identity_small_case_against_fd(self):
-        p = small_params(35, d_in=2, rank=2, d=2, n_rows=2, gamma=0.0, phi="identity")
+        p = small_params(35, d_in=2, rank=2, d=2, n_rows=2)
+        hyper = dict(gamma=0.0, phi="identity")
         x_text = rng(36).normal(size=(1, 2))
         x_vis_raw = rng(37).normal(size=(2, 2))
         probe = rng(38).normal(size=(1, 2))
-        grads = branch(x_text, x_vis_raw, p, probe)[3]
-        numeric = fd_grad(lambda v: float(np.sum(branch(v, x_vis_raw, p)[0] * probe)), x_text)
+        grads = branch(x_text, x_vis_raw, p, probe, **hyper)[3]
+        numeric = fd_grad(lambda v: float(np.sum(branch(v, x_vis_raw, p, **hyper)[0] * probe)), x_text)
         assert grad_rel_err(grads["x_text"], numeric) <= 1e-4
 
     @pytest.mark.parametrize("seed", range(20))
     def test_gradcheck_all_trainables(self, seed):
         phi = ("silu", "identity", "elu", "softmax_rows")[seed % 4]
-        p = small_params(seed, gamma=(0.0, 0.2)[seed % 2], phi=phi)
+        p = small_params(seed)
+        hyper = dict(gamma=(0.0, 0.2)[seed % 2], phi=phi)
         g = rng(1000 + seed)
         x_text = g.normal(size=(2, 3, 6))
         x_vis_raw = g.normal(size=(2, 5, 4))
         probe = g.normal(size=(2, 3, 6))
-        grads = branch(x_text, x_vis_raw, p, probe)[3]
+        grads = branch(x_text, x_vis_raw, p, probe, **hyper)[3]
 
         def objective(_):
-            return float(np.sum(branch(x_text, x_vis_raw, p)[0] * probe))
+            return float(np.sum(branch(x_text, x_vis_raw, p, **hyper)[0] * probe))
 
         for field in ("a_feat", "b_feat", "pos_embed"):
             numeric = fd_grad(objective, getattr(p, field), inplace=True)
             assert grad_rel_err(grads[field], numeric) <= 1e-4, field
-        numeric = fd_grad(lambda v: float(np.sum(branch(v, x_vis_raw, p)[0] * probe)), x_text)
+        numeric = fd_grad(lambda v: float(np.sum(branch(v, x_vis_raw, p, **hyper)[0] * probe)), x_text)
         assert grad_rel_err(grads["x_text"], numeric) <= 1e-4, "x_text"
 
     def test_fully_masked_key_row_gets_zero_grad(self):
         # one key row scores lowest for every query, so with k=1 it is
         # always dropped and its pos_embed row must receive no gradient
-        p = small_params(39, d_in=2, rank=2, d=2, n_rows=5, gamma=0.2, phi="identity", pos_scale=0.0)
+        p = small_params(39, d_in=2, rank=2, d=2, n_rows=5, pos_scale=0.0)
+        hyper = dict(gamma=0.2, phi="identity")
         p.b_feat[:] = 0.0
         p.pos_embed[:] = np.array(
             [[-100.0, -100.0], [1.0, 0.5], [0.5, 1.0], [1.5, 0.25], [0.25, 1.5]]
@@ -386,10 +372,11 @@ class TestFuseBackward:
         x_text = np.abs(rng(40).normal(size=(2, 3, 2))) + 0.5  # positive queries
         x_vis_raw = rng(41).normal(size=(2, 5, 2))
         probe = rng(42).normal(size=(2, 3, 2))
-        _, cache, _, grads = branch(x_text, x_vis_raw, p, probe)
-        np.testing.assert_array_equal(cache.decision.mask[..., 0], np.zeros((2, 3)))
+        _, cache, _, grads = branch(x_text, x_vis_raw, p, probe, **hyper)
+        np.testing.assert_array_equal(cache.mask[..., 0], np.zeros((2, 3)))
         np.testing.assert_array_equal(grads["pos_embed"][0], np.zeros(2))
-        numeric = fd_grad(lambda _: float(np.sum(branch(x_text, x_vis_raw, p)[0] * probe)), p.pos_embed, inplace=True)
+        numeric = fd_grad(lambda _: float(np.sum(branch(x_text, x_vis_raw, p, **hyper)[0] * probe)), p.pos_embed,
+                          inplace=True)
         np.testing.assert_allclose(numeric[0], np.zeros(2), atol=1e-8)
 
 
@@ -418,27 +405,25 @@ def _draw(g, shape, quantized):
 )
 def test_batched_site_matches_rank2_calls_and_oracle(batch, n_text, n_rows, d, gamma, phi, quantized, seed):
     g = rng(seed)
-    p = FusionParams.init(
-        g, d_in=3, d_model=d, rank=2, n_rows=n_rows, alpha=0.7, beta=1.0, gamma=gamma, phi=phi,
-        pos_scale=0.0 if quantized else 0.3, b_scale=1.0,
-    )
+    p = FusionParams.init(g, d_in=3, d_model=d, rank=2, n_rows=n_rows, pos_scale=0.0 if quantized else 0.3, b_scale=1.0)
+    hyper = dict(alpha=0.7, beta=1.0, gamma=gamma, phi=phi)
     queries = _draw(g, (batch, n_text, d), quantized)
     x_vis_raw = _draw(g, (batch, n_rows, 3), quantized)
     upstream = g.normal(size=(batch, n_text, d))
 
-    delta, cache, values, grads = branch(queries, x_vis_raw, p, upstream)
+    delta, cache, values, grads = branch(queries, x_vis_raw, p, upstream, **hyper)
     for b in range(batch):  # single-sample calls of the same kernel are the rank-2 reference
-        single, single_cache, single_values, single_grads = branch(queries[b], x_vis_raw[b], p, upstream[b])
+        single, single_cache, single_values, single_grads = branch(queries[b], x_vis_raw[b], p, upstream[b], **hyper)
         assert values[b].tobytes() == single_values.tobytes()
         assert delta[b].tobytes() == single.tobytes()
-        assert cache.decision.mask[b].tobytes() == single_cache.decision.mask.tobytes()
+        assert cache.mask[b].tobytes() == single_cache.mask.tobytes()
         for name in ("x_text", "values"):
             assert grads[name][b].tobytes() == single_grads[name].tobytes(), name
         if phi in SCALAR_ACTS:
             out, scores, masks = param_free_scalar(queries[b], values[b], phi, gamma)
             np.testing.assert_allclose(cache.scores[b], scores, rtol=0, atol=1e-12)
-            np.testing.assert_array_equal(cache.decision.mask[b], masks)
-            np.testing.assert_allclose(delta[b], p.alpha * np.asarray(out), rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(cache.mask[b], masks)
+            np.testing.assert_allclose(delta[b], 0.7 * np.asarray(out), rtol=0, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)

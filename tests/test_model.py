@@ -61,8 +61,13 @@ def awaken(model, seed=0, scale=0.3):
 
 
 def assert_gradcheck(model, tokens, feats, cls_raw, targets, *, answer_mask=None, label=None):
-    """Every fusion gradient of loss_and_grads within 1e-4 of central differences."""
+    """Every fusion gradient of loss_and_grads within 1e-4 of central differences.
+
+    The gradients are a dict with exactly the keys, order and shapes of
+    trainable_tensors()."""
     _, grads = model.loss_and_grads(tokens, feats, cls_raw, targets, answer_mask)
+    shapes = [(name, t.shape) for name, t in model.trainable_tensors().items()]
+    assert isinstance(grads, dict) and [(name, g.shape) for name, g in grads.items()] == shapes, label
     for name, analytic in grads.items():
         numeric = fd_grad(
             lambda _v: model.loss_and_grads(tokens, feats, cls_raw, targets, answer_mask)[0],
@@ -120,8 +125,9 @@ class TestNullityAndBaseline:
     def test_init_is_exact_noop(self):
         cfg = tiny_config(pos_scale=0.0, b_scale=0.0)
         fused = DecoderModel.build(cfg)
-        silent = DecoderModel.build(cfg)
-        silent.fusion = replace(silent.fusion, alpha=0.0)
+        silent = DecoderModel.build(replace(cfg, alpha=0.0))
+        ours, theirs = ({**m.base_tensors(), **m.trainable_tensors()} for m in (fused, silent))
+        assert all(ours[n].tobytes() == theirs[n].tobytes() for n in ours), "alpha must draw nothing at init"
         for seed in range(4):
             tokens, feats, cls_raw, _ = tiny_inputs(seed)
             a = fused.forward(tokens, feats, cls_raw)
@@ -131,8 +137,7 @@ class TestNullityAndBaseline:
     def test_nonzero_fusion_changes_logits(self):
         cfg = tiny_config()
         fused = awaken(DecoderModel.build(cfg))
-        silent = DecoderModel.build(cfg)
-        silent.fusion = replace(silent.fusion, alpha=0.0)
+        silent = awaken(DecoderModel.build(replace(cfg, alpha=0.0)))  # differs from fused only in alpha
         tokens, feats, cls_raw, _ = tiny_inputs(1)
         assert not np.array_equal(fused.forward(tokens, feats, cls_raw), silent.forward(tokens, feats, cls_raw))
 
@@ -289,11 +294,11 @@ class TestAllocationBudget:
 
 
 class TestParameterBookkeeping:
-    def test_trainable_count_formula(self):
+    def test_trainable_size_formula(self):
         cfg = tiny_config(scales=(1, 2), d_model=8, d_in=4, rank=2)
         model = DecoderModel.build(cfg)
         d, dp, r, n = 8, 4, 2, 320
-        assert model.trainable_count() == 2 * (dp * r + r * d) + n * d
+        assert sum(t.size for t in model.trainable_tensors().values()) == 2 * (dp * r + r * d) + n * d
 
     def test_base_and_trainable_disjoint(self):
         model = DecoderModel.build(tiny_config())
