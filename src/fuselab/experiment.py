@@ -54,8 +54,10 @@ class ExperimentConfig(FlatConfig):
     The architecture and fusion fields are ModelConfig's, less vocab_size,
     which follows from channels, and are checked by ModelConfig.  Only two
     defaults differ from ModelConfig's: a run starts from a stronger
-    positional code (pos_scale) and value pair (b_scale).  The run sizes
-    n_train, n_test, steps and batch_size must be at least 1."""
+    positional code (pos_scale) and value pair (b_scale).  The task needs
+    at least 2 channels (colors) and a feature width d_in that holds
+    them; the run sizes n_train, n_test, steps and batch_size must be at
+    least 1."""
 
     pos_scale: float = 0.3
     b_scale: float = 1.0
@@ -71,6 +73,10 @@ class ExperimentConfig(FlatConfig):
     key_gain: float = KEY_GAIN
 
     def __post_init__(self):
+        if self.channels < 2:
+            raise ValueError(f"channels must be at least 2, got {self.channels}")
+        if self.d_in < self.channels:
+            raise ValueError(f"d_in must be at least channels ({self.channels}), got {self.d_in}")
         model = self.model_config()  # checks and normalizes every field the two share
         self.placement, self.scales = model.placement, model.scales
         for name in ("n_train", "n_test", "steps", "batch_size"):

@@ -291,6 +291,14 @@ def visual_grads(factors, values: np.ndarray, k_saved: np.ndarray | None, phi: s
 # the fusion branch: low-rank visual embedding feeding the site
 
 
+def _check_visual_features(x_vis_raw: np.ndarray, p: FusionParams) -> None:
+    if x_vis_raw.ndim < 2 or x_vis_raw.shape[-2:] != (p.n_rows, p.a_feat.shape[0]):
+        raise ShapeError(
+            f"visual features {x_vis_raw.shape} must end in (n_rows, d_in) = "
+            f"({p.n_rows}, {p.a_feat.shape[0]}) to match pos_embed {p.pos_embed.shape} and a_feat {p.a_feat.shape}"
+        )
+
+
 def visual_values(x_vis_raw: np.ndarray, p: FusionParams, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """(values, low_rank) with values = (x_vis_raw @ a_feat) @ (beta * b_feat) + pos_embed.
 
@@ -298,11 +306,7 @@ def visual_values(x_vis_raw: np.ndarray, p: FusionParams, beta: float) -> tuple[
     positional embedding enters unscaled.  x_vis_raw is (..., n_rows, d_in):
     it may carry batch axes.
     """
-    if x_vis_raw.ndim < 2 or x_vis_raw.shape[-2:] != (p.n_rows, p.a_feat.shape[0]):
-        raise ShapeError(
-            f"visual features {x_vis_raw.shape} must end in (n_rows, d_in) = "
-            f"({p.n_rows}, {p.a_feat.shape[0]}) to match pos_embed {p.pos_embed.shape} and a_feat {p.a_feat.shape}"
-        )
+    _check_visual_features(x_vis_raw, p)
     low_rank = x_vis_raw @ p.a_feat
     values = low_rank @ (beta * p.b_feat)
     values += p.pos_embed  # in place: these (B, N, d) temporaries dominate allocation

@@ -20,6 +20,16 @@ Everything runs batched (batch, seq, d) in float64, with a hand-written
 backward pass that produces gradients only for the fusion tensors, as a
 dict keyed like `trainable_tensors()`; the frozen base contributes
 vector-Jacobian products but receives no updates.
+
+`forward` and `loss_and_grads` run their batch in sample tiles whose
+(tile, N, d) visual arrays each stay within TILE_BYTES.  The visual side
+is a chain of elementwise passes and thin products over those arrays;
+at full batch each is several MB, so every pass streams from memory, and
+the allocator hands the freed arrays back to the system and page-faults
+them in again on the next call.  A tile's arrays stay in cache and are
+reused from the heap.  No op before the loss mixes samples, so logits
+and masks do not depend on the tiling; only the batch sums of the loss
+and gradients change order.
 """
 
 from __future__ import annotations
@@ -30,11 +40,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .fusion import FusionParams, _check_gamma, low_rank_vjp, site_backward, site_forward, visual_grads, visual_values
+from .fusion import (
+    FusionParams,
+    _check_gamma,
+    _check_visual_features,
+    low_rank_vjp,
+    site_backward,
+    site_forward,
+    visual_grads,
+    visual_values,
+)
 from .prompt import check_prompt, prompt_rows
 from .tensor import ACTIVATIONS, FLOAT, ShapeError, activation, load_tensor, save_tensor, sigmoid, silu_grad, softmax_rows
 
 LN_EPS = 1e-5
+TILE_BYTES = 1 << 20  # most bytes of one (tile, N, d) float64 visual array; see the module docstring
 
 # the six legal (query_from, add_to) rows; add point never precedes query point
 LEGAL_PLACEMENTS = (
@@ -339,8 +359,6 @@ class DecoderModel:
     # --- forward / backward ----------------------------------------------
 
     def _input_stream(self, tokens, cls_raw):
-        if tokens.ndim != 2:
-            raise ShapeError(f"tokens must be (batch, T), got {tokens.shape}")
         seq = tokens.shape[1] + 1
         if seq > self.config.max_seq:
             raise ValueError(f"sequence length {seq} exceeds max_seq {self.config.max_seq}")
@@ -358,14 +376,46 @@ class DecoderModel:
         nf, lnf_cache = _ln_forward(x, self.lnf_g, self.lnf_b)
         return nf @ self.w_head, (cls_low, caches, lnf_cache)
 
+    def _batch_tiles(self, tokens, feats, cls_raw) -> list[slice]:
+        """Near-equal sample slices whose (tile, N, d) arrays stay within TILE_BYTES.
+
+        Checks the whole batch first: tokens is (batch, T), and the inputs
+        share the batch size.  Never empty: an empty batch is one empty tile.
+        """
+        if tokens.ndim != 2:
+            raise ShapeError(f"tokens must be (batch, T), got {tokens.shape}")
+        _check_visual_features(feats, self.fusion)
+        if feats.shape[:1] != tokens.shape[:1] or cls_raw.shape[:1] != tokens.shape[:1]:
+            raise ShapeError(
+                f"tokens {tokens.shape}, visual features {feats.shape} and cls rows {cls_raw.shape} "
+                "must share their batch size"
+            )
+        cfg = self.config
+        batch = len(tokens)
+        per_tile = max(1, TILE_BYTES // (cfg.n_rows * cfg.d_model * np.dtype(FLOAT).itemsize))
+        n_tiles = max(1, -(-batch // per_tile))  # -(-a // b) is ceil(a / b)
+        size = max(1, -(-batch // n_tiles))
+        return [slice(start, start + size) for start in range(0, max(batch, 1), size)]
+
     def forward(self, tokens, feats, cls_raw, *, want_masks=False):
         """Logits (batch, T+1, vocab); optionally the per-block keep masks."""
+        logits, masks = [], []
+        for t in self._batch_tiles(tokens, feats, cls_raw):
+            tile_logits, tile_masks = self._tile_forward(tokens[t], feats[t], cls_raw[t])
+            logits.append(tile_logits)
+            if want_masks:
+                masks.append(tile_masks)
+        logits = np.concatenate(logits)
+        if want_masks:
+            return logits, [np.concatenate(block) for block in zip(*masks)]
+        return logits
+
+    def _tile_forward(self, tokens, feats, cls_raw):
+        """One tile's logits and per-block masks; its visual arrays are freed on return."""
         cfg = self.config
         values = visual_values(feats, self.fusion, cfg.beta)[0]  # phi's saved state is dropped: only backward reads it
         logits, (_, caches, _) = self._forward(tokens, (values, activation(values, cfg.phi)[0]), cls_raw)
-        if want_masks:
-            return logits, [site.mask for _, site in caches]
-        return logits
+        return logits, [site.mask for _, site in caches]
 
     def loss_and_grads(self, tokens, feats, cls_raw, targets, answer_mask=None):
         """Mean cross-entropy over answer positions, and its gradients.
@@ -373,14 +423,13 @@ class DecoderModel:
         The gradients are a dict keyed and ordered like trainable_tensors().
         targets is (batch,) for the default answer position (the last), or
         (batch, T+1) with answer_mask marking which positions count.  An
-        all-false mask contributes zero loss and zero gradients.
+        all-false mask contributes zero loss and zero gradients.  Each
+        tile's loss and gradients are already divided by the batch's
+        answer count, so the tiles' shares simply add.
         """
-        f, cfg = self.fusion, self.config
-        values, low_rank = visual_values(feats, f, cfg.beta)
-        k_act, k_saved = activation(values, cfg.phi)
-        logits, (cls_low, caches, lnf_cache) = self._forward(tokens, (values, k_act), cls_raw)
-        b, s, vocab = logits.shape
+        tiles = self._batch_tiles(tokens, feats, cls_raw)
         if answer_mask is None:
+            b, s = tokens.shape[0], tokens.shape[1] + 1
             answer_mask = np.zeros((b, s), dtype=bool)
             answer_mask[:, -1] = True
             full_targets = np.zeros((b, s), dtype=np.int64)
@@ -388,18 +437,34 @@ class DecoderModel:
         else:
             full_targets = targets
         count = int(np.sum(answer_mask))
+        shares = (self._tile_loss_and_grads(tokens[t], feats[t], cls_raw[t], full_targets[t], answer_mask[t], count)
+                  for t in tiles)
+        loss, grads = next(shares)
+        for tile_loss, tile_grads in shares:
+            loss += tile_loss
+            for name, g in tile_grads.items():
+                grads[name] += g
+        return loss, grads
+
+    def _tile_loss_and_grads(self, tokens, feats, cls_raw, full_targets, answer_mask, count):
+        """One tile's summed cross-entropy / count, and its gradients; count is the whole batch's."""
+        f, cfg = self.fusion, self.config
+        values, low_rank = visual_values(feats, f, cfg.beta)
+        k_act, k_saved = activation(values, cfg.phi)
+        logits, (cls_low, caches, lnf_cache) = self._forward(tokens, (values, k_act), cls_raw)
 
         d_logits = np.zeros_like(logits)
-        if count == 0:
+        n_answers = int(np.sum(answer_mask))
+        if n_answers == 0:
             loss = 0.0
         else:
-            sel = logits[answer_mask]  # (count, vocab)
+            sel = logits[answer_mask]  # (n_answers, vocab)
             sel_targets = full_targets[answer_mask]
             shifted = sel - sel.max(axis=1, keepdims=True)
             logz = np.log(np.sum(np.exp(shifted), axis=1)) + sel.max(axis=1)
-            loss = float(np.mean(logz - sel[np.arange(count), sel_targets]))
+            loss = float(np.sum(logz - sel[np.arange(n_answers), sel_targets]) / count)
             probs = softmax_rows(sel)
-            probs[np.arange(count), sel_targets] -= 1.0
+            probs[np.arange(n_answers), sel_targets] -= 1.0
             d_logits[answer_mask] = probs / count
 
         d_nf = d_logits @ self.w_head.T

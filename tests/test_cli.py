@@ -105,6 +105,18 @@ class TestTrainCommand:
         assert err == {"error": "ValueError", "message": f"{field} must be at least 1, got 0", "command": "train"}
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("bad, message", [({"channels": 1}, "channels must be at least 2, got 1"),
+                                              ({"d_in": 4}, "d_in must be at least channels (8), got 4")],
+                             ids=["one-channel", "d_in-below-channels"])
+    def test_unrunnable_task_is_structured_error(self, bad, message, tiny_config_file, tmp_path, capsys):
+        config = json.loads(tiny_config_file.read_text())
+        tiny_config_file.write_text(json.dumps({**config, **bad}))
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(tiny_config_file), "--out", str(out_dir)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message": message, "command": "train"}
+        assert not out_dir.exists()
+
     def test_missing_config_file(self, capsys):
         assert main(["train", "--config", "/no/such/file.json"]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"

@@ -79,6 +79,19 @@ def test_unbuildable_prompt_rejected_at_construction(bad, tmp_path):
         load_checkpoint(tmp_path / "ck")
 
 
+# task settings only ExperimentConfig holds: a run needs 2 colors and a feature width that holds them
+UNRUNNABLE = [({"channels": 1}, "channels must be at least 2, got 1"),
+              ({"d_in": 4}, r"d_in must be at least channels \(8\), got 4")]
+
+
+@pytest.mark.parametrize("bad, message", UNRUNNABLE, ids=["one-channel", "d_in-below-channels"])
+def test_unrunnable_task_rejected_at_construction(bad, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**bad)
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_dict(bad)
+
+
 def test_manifest_without_format_loads_bit_identical(tmp_path):
     """A manifest from before the format key reads as format 1."""
     model = DecoderModel.build(ModelConfig(d_model=8, d_in=4, rank=2, scales=(4,), seed=5))

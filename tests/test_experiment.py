@@ -141,11 +141,12 @@ class TestAblate:
         assert accs == sorted(accs, reverse=True)
 
     def test_failures_recorded_not_raised(self):
-        # d_in below the color count makes the encoder reject every run
-        reports = ablate("gamma", base_config=tiny_config(d_in=4))
+        # a learning rate this large overflows the fusion tensors, so every run diverges at step 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            reports = ablate("gamma", base_config=tiny_config(base_lr=1e200))
         assert len(reports) == 5
         assert all(not r.ok for r in reports)
-        assert all("d_out" in r.error for r in reports)
+        assert all(r.error.startswith("TrainingDiverged: loss became nan at step 1") for r in reports)
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError, match="axis"):

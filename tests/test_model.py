@@ -10,6 +10,7 @@ import pytest
 from fuselab.experiment import ExperimentConfig
 from fuselab.model import (
     LEGAL_PLACEMENTS,
+    TILE_BYTES,
     DecoderModel,
     ModelConfig,
     PlacementConfig,
@@ -222,6 +223,76 @@ class TestBatchSemantics:
             assert mask.shape == (2, 3, model.config.n_rows)
             np.testing.assert_array_equal((mask == 0).sum(axis=-1), k)
 
+    @pytest.fixture()
+    def tiled(self):
+        """An awake default model and a 13-sample batch that runs as at least 3 uneven tiles."""
+        config = ModelConfig()
+        model = awaken(DecoderModel.build(config))
+        inputs = tiny_inputs(15, 13, config.vocab_size, config.n_rows, config.d_in)
+        tiles = model._batch_tiles(*inputs[:3])
+        sizes = [len(range(13)[t]) for t in tiles]
+        assert len(tiles) >= 3 and len(set(sizes)) > 1 and sum(sizes) == 13
+        return model, inputs, tiles
+
+    def test_tiles_match_single_sample_runs(self, tiled):
+        model, (tokens, feats, cls_raw, _), _ = tiled
+        logits, masks = model.forward(tokens, feats, cls_raw, want_masks=True)
+        for b in range(13):
+            one = slice(b, b + 1)
+            single_logits, single_masks = model.forward(tokens[one], feats[one], cls_raw[one], want_masks=True)
+            assert logits[one].tobytes() == single_logits.tobytes()
+            for block, single in zip(masks, single_masks, strict=True):
+                assert block[one].tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["last-position", "multi-position"])
+    def test_tiled_loss_is_count_weighted_sum_of_samples(self, tiled, masked):
+        model, (tokens, feats, cls_raw, targets), tiles = tiled
+        answer_mask = None
+        if masked:  # random answer positions, none at all in the middle tile
+            g = np.random.default_rng(16)
+            answer_mask = g.random((13, 3)) < 0.5
+            answer_mask[tiles[1]] = False
+            targets = g.integers(0, 8, size=(13, 3))
+        counts = np.ones(13) if answer_mask is None else answer_mask.sum(axis=1)
+        loss, grads = model.loss_and_grads(tokens, feats, cls_raw, targets, answer_mask)
+        expect_loss, expect = 0.0, {name: np.zeros_like(t) for name, t in model.trainable_tensors().items()}
+        for b in range(13):
+            one = slice(b, b + 1)
+            sample_mask = None if answer_mask is None else answer_mask[one]
+            sample_loss, sample_grads = model.loss_and_grads(
+                tokens[one], feats[one], cls_raw[one], targets[one], sample_mask
+            )
+            weight = counts[b] / counts.sum()
+            expect_loss += weight * sample_loss
+            for name, g in sample_grads.items():
+                expect[name] += weight * g
+        assert abs(loss - expect_loss) <= 1e-12 * abs(expect_loss)
+        assert list(grads) == list(expect)
+        for name, g in grads.items():
+            np.testing.assert_allclose(g, expect[name], rtol=0, atol=1e-12 * np.max(np.abs(expect[name])), err_msg=name)
+
+    def test_shape_errors_name_the_whole_batch(self, tiled):
+        model, (tokens, feats, cls_raw, targets), _ = tiled
+        rows_cut = feats[:, :5]
+        with pytest.raises(ShapeError, match=re.escape(f"visual features {rows_cut.shape}")):
+            model.forward(tokens, rows_cut, cls_raw)
+        with pytest.raises(ShapeError, match=re.escape(f"visual features {rows_cut.shape}")):
+            model.loss_and_grads(tokens, rows_cut, cls_raw, targets)
+        with pytest.raises(ShapeError, match="must share their batch size"):
+            model.forward(tokens, feats[:12], cls_raw)
+
+    def test_empty_batch(self):
+        model = DecoderModel.build(tiny_config())
+        tokens, feats, cls_raw, targets = (a[:0] for a in tiny_inputs(17))
+        assert model.forward(tokens, feats, cls_raw).shape == (0, 3, 40)
+        loss, grads = model.loss_and_grads(tokens, feats, cls_raw, targets)
+        assert loss == 0.0
+        assert [(name, g.shape) for name, g in grads.items()] == [
+            (name, t.shape) for name, t in model.trainable_tensors().items()
+        ]
+        for g in grads.values():
+            np.testing.assert_array_equal(g, np.zeros_like(g))
+
 
 class TestLoss:
     def test_empty_answer_span_contributes_zero(self):
@@ -265,20 +336,21 @@ class TestLoss:
 
 
 class TestAllocationBudget:
-    """Peak traced allocation of one call, in (B, N, d) float64 arrays.
+    """Peak traced allocation of one call, in (tile, N, d) float64 arrays.
 
     The visual side of a step is memory-bound on those arrays, so an extra
     one must show here: each site forming its own (B, N, d) cotangents
-    again, or forward keeping phi's saved state.  Measured: loss_and_grads
-    5.10 (8.67 when every site formed its own), forward 3.00 (3.73 when it
-    kept the saved state).
+    again, or forward keeping phi's saved state.  Measured at batch 4 (one
+    tile): loss_and_grads 5.10 (8.67 when every site formed its own),
+    forward 3.00 (3.73 when it kept the saved state).  At batch 64 (11
+    tiles of at most 6): loss_and_grads 5.47, forward 3.15; run untiled,
+    as one pass over all 64 samples, they were 54.3 and 32.0.
     """
 
-    @pytest.mark.parametrize("call, budget", [("loss_and_grads", 6.0), ("forward", 3.5)])
-    def test_peak_in_visual_arrays(self, call, budget):
+    @staticmethod
+    def peak_bytes(call, batch):
         config = ExperimentConfig().model_config()
         model = DecoderModel.build(config)
-        batch = 4
         tokens, feats, cls_raw, targets = tiny_inputs(14, batch, config.vocab_size, config.n_rows, config.d_in)
         args = (tokens, feats, cls_raw, targets)[: 4 if call == "loss_and_grads" else 3]
         getattr(model, call)(*args)  # warm: first calls allocate once-only state
@@ -286,11 +358,24 @@ class TestAllocationBudget:
         try:
             base = tracemalloc.get_traced_memory()[0]
             getattr(model, call)(*args)
-            peak = tracemalloc.get_traced_memory()[1] - base
+            return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
+
+    @pytest.mark.parametrize("call, budget", [("loss_and_grads", 6.0), ("forward", 3.5)])
+    def test_peak_in_visual_arrays(self, call, budget):
+        config = ExperimentConfig().model_config()
+        batch = 4
         unit = batch * config.n_rows * config.d_model * np.dtype(np.float64).itemsize
-        assert peak / unit <= budget
+        assert self.peak_bytes(call, batch) / unit <= budget
+
+    @pytest.mark.parametrize("call, budget", [("loss_and_grads", 6.0), ("forward", 3.5)])
+    def test_peak_does_not_grow_with_batch(self, call, budget):
+        """At batch 64 the unit is one tile's array: the largest tile whose array fits TILE_BYTES."""
+        config = ExperimentConfig().model_config()
+        sample_bytes = config.n_rows * config.d_model * np.dtype(np.float64).itemsize
+        unit = (TILE_BYTES // sample_bytes) * sample_bytes
+        assert self.peak_bytes(call, 64) / unit <= budget
 
 
 class TestParameterBookkeeping:
