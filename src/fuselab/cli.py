@@ -34,7 +34,7 @@ from .experiment import (
 )
 from .flops import flops
 from .model import load_checkpoint
-from .prompt import build_prompt, save_prompt, scale_layout, synthetic_encoder
+from .prompt import GRID, pool_scales, save_prompt, scale_layout, synthetic_encoder
 from .tensor import ShapeError
 
 ENV_SEED = "ADEMVL_SEED"
@@ -161,16 +161,16 @@ def _cmd_dump_prompt(args) -> int:
     seed = env if env is not None else args.seed
     rng = np.random.default_rng(seed)
     image = np.eye(args.channels)[rng.integers(0, args.channels, size=(16, 16))]
-    enc = synthetic_encoder(image, args.d_in, seed)
-    prompt = build_prompt(enc, scales=tuple(args.scales), pool=args.pool)
+    patches, cls = synthetic_encoder(image, args.d_in, seed)
+    features = pool_scales(patches.reshape(GRID, GRID, -1), args.scales, args.pool)
     layout = scale_layout(args.scales)
-    print(f"seed {seed}: {prompt.n_rows} rows over scales {tuple(layout)}, pool {prompt.pool}")
+    print(f"seed {seed}: {len(features)} rows over scales {tuple(layout)}, pool {args.pool}")
     for scale, rows in layout.items():
-        norms = np.linalg.norm(prompt.features[rows], axis=1)
+        norms = np.linalg.norm(features[rows], axis=1)
         print(f"  scale {scale}: rows {rows.start}..{rows.stop - 1}, |row| mean {norms.mean():.3f} max {norms.max():.3f}")
-    print(f"  cls |row| {np.linalg.norm(enc.cls):.3f}")
+    print(f"  cls |row| {np.linalg.norm(cls):.3f}")
     if args.out:
-        save_prompt(args.out, prompt)
+        save_prompt(args.out, features, args.scales, args.pool)
         print(f"wrote {args.out} (+ .json sidecar)")
     return 0
 

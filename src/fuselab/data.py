@@ -8,6 +8,10 @@ requires actually reading the image, which makes the task a minimal
 probe for whether the fusion branch carries visual information -- and
 because the answer lives at one spatial location, the drop masks have a
 ground-truth cell they ought to keep.
+
+`encode_batch` fills one (B, N, d_in) prompt array a chunk of samples at
+a time, each chunk's patches within tensor.TILE_BYTES, so it builds no
+batch-sized one-hot image or patch array.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prompt import GRID, build_prompt, synthetic_encoder
+from .prompt import GRID, pool_scales, prompt_rows, synthetic_encoder
+from .tensor import FLOAT, sample_tiles
 
 N_ROW_TOKENS = GRID
 N_COL_TOKENS = GRID
@@ -77,11 +82,17 @@ def gen_dataset(seed: int, n_train: int = 4096, n_test: int = 1024, channels: in
 def encode_batch(dataset: GridVqaDataset, idx, d_in: int, encoder_seed: int, scales=(1, 2), pool: str = "avg"):
     """Tokens, prompt features, cls rows, and answers for the given indices.
 
-    One frozen-encoder call and one prompt build cover the whole batch;
-    both act per sample and the content map is a pure function of
-    encoder_seed, so features do not depend on batch composition.
+    The prompt and cls rows are allocated once; each chunk of samples is
+    encoded and pooled straight into its rows.  The encoder and the
+    pooling act per sample and the content map is a pure function of
+    encoder_seed, so features depend neither on batch composition nor on
+    the chunking.
     """
     idx = np.asarray(idx)
-    enc = synthetic_encoder(np.eye(dataset.channels)[dataset.images[idx]], d_in, encoder_seed)
-    prompt = build_prompt(enc, scales=scales, pool=pool)
-    return dataset.tokens(idx), prompt.features, enc.cls, dataset.answers[idx]
+    feats = np.empty((len(idx), prompt_rows(scales), d_in), dtype=FLOAT)
+    cls = np.empty((len(idx), 1, d_in), dtype=FLOAT)
+    eye = np.eye(dataset.channels)
+    for chunk in sample_tiles(len(idx), GRID * GRID * d_in * np.dtype(FLOAT).itemsize):
+        patches, cls[chunk] = synthetic_encoder(eye[dataset.images[idx[chunk]]], d_in, encoder_seed)
+        feats[chunk] = pool_scales(patches.reshape(-1, GRID, GRID, d_in), scales, pool)
+    return dataset.tokens(idx), feats, cls, dataset.answers[idx]

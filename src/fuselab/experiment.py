@@ -57,7 +57,7 @@ class ExperimentConfig(FlatConfig):
     positional code (pos_scale) and value pair (b_scale).  The task needs
     at least 2 channels (colors) and a feature width d_in that holds
     them; the run sizes n_train, n_test, steps and batch_size must be at
-    least 1."""
+    least 1, and base_lr finite and positive."""
 
     pos_scale: float = 0.3
     b_scale: float = 1.0
@@ -82,6 +82,8 @@ class ExperimentConfig(FlatConfig):
         for name in ("n_train", "n_test", "steps", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not (np.isfinite(self.base_lr) and self.base_lr > 0):
+            raise ValueError(f"base_lr must be finite and positive, got {self.base_lr}")
 
     def model_config(self) -> ModelConfig:
         shared = {f.name: getattr(self, f.name) for f in _MODEL_FIELDS}
@@ -178,6 +180,7 @@ def drop_heatmap(
             own = per_sample[np.arange(len(idx)), cells]
             rank = np.sum(per_sample > own[:, None], axis=1)  # rows strictly ahead
             top_decile_hits += int(np.sum(rank < decile_rank))
+        del feats, cls_raw, masks, kept  # free this batch before the next is encoded
 
     denominator = text_positions * blocks * n_samples
     freq = row_counts / denominator

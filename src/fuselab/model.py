@@ -21,8 +21,13 @@ backward pass that produces gradients only for the fusion tensors, as a
 dict keyed like `trainable_tensors()`; the frozen base contributes
 vector-Jacobian products but receives no updates.
 
+A model whose alpha is 0 is the text-only control: every fusion delta
+is exactly 0, so `loss_and_grads`, and `forward` unless it is asked for
+the masks, run the blocks without their sites and never touch the
+visual side.
+
 `forward` and `loss_and_grads` run their batch in sample tiles whose
-(tile, N, d) visual arrays each stay within TILE_BYTES.  The visual side
+(tile, N, d) visual arrays each stay within tensor.TILE_BYTES.  The visual side
 is a chain of elementwise passes and thin products over those arrays;
 at full batch each is several MB, so every pass streams from memory, and
 the allocator hands the freed arrays back to the system and page-faults
@@ -51,10 +56,9 @@ from .fusion import (
     visual_values,
 )
 from .prompt import check_prompt, prompt_rows
-from .tensor import ACTIVATIONS, FLOAT, ShapeError, activation, load_tensor, save_tensor, sigmoid, silu_grad, softmax_rows
+from .tensor import ACTIVATIONS, FLOAT, TILE_BYTES, ShapeError, activation, load_tensor, sample_tiles, save_tensor, sigmoid, silu_grad, softmax_rows  # noqa: F401 -- TILE_BYTES is re-exported
 
 LN_EPS = 1e-5
-TILE_BYTES = 1 << 20  # most bytes of one (tile, N, d) float64 visual array; see the module docstring
 
 # the six legal (query_from, add_to) rows; add point never precedes query point
 LEGAL_PLACEMENTS = (
@@ -274,13 +278,16 @@ SUBLAYERS = (
 def _block_forward(x, blk: DecoderBlock, keys, cfg: ModelConfig):
     """One block; keys = (values, phi(values)) is the visual side every site shares.
 
-    When the query and add points coincide, the site reads the pre-add value.
+    When the query and add points coincide, the site reads the pre-add
+    value.  keys None runs the block without its site.
     """
     q_from, add_to = cfg.placement.as_tuple()
     caches, delta, site = [], None, None
 
     def tap(point, value):
         nonlocal delta, site
+        if keys is None:
+            return value
         if point == q_from:
             delta, site = site_forward(value, *keys, cfg.alpha, cfg.gamma, cfg.phi)
         return value + delta if point == add_to else value
@@ -298,7 +305,8 @@ def _block_backward(d_out, cache, blk: DecoderBlock, keys, cfg: ModelConfig):
     """Returns (d_block_input, factors) -- the site's rank-L factors for visual_grads.
 
     Walking backward, the add point comes before (or at) the query point,
-    so the query-path gradient is ready when its tap is reached.
+    so the query-path gradient is ready when its tap is reached.  keys
+    None, as in the forward pass, has no site and no factors.
     """
     q_from, add_to = cfg.placement.as_tuple()
     caches, site = cache
@@ -306,6 +314,8 @@ def _block_backward(d_out, cache, blk: DecoderBlock, keys, cfg: ModelConfig):
 
     def tap(point, grad):
         nonlocal d_query, factors
+        if keys is None:
+            return grad
         if point == add_to:
             d_query, factors = site_backward(grad, site, *keys, cfg.alpha, cfg.phi)
         return grad + d_query if point == q_from else grad
@@ -356,6 +366,11 @@ class DecoderModel:
     def trainable_tensors(self) -> dict[str, np.ndarray]:
         return self.fusion.trainable()
 
+    @property
+    def text_only(self) -> bool:
+        """alpha = 0: every fusion delta is exactly 0, so logits and loss never read the visual side."""
+        return self.config.alpha == 0
+
     # --- forward / backward ----------------------------------------------
 
     def _input_stream(self, tokens, cls_raw):
@@ -367,7 +382,7 @@ class DecoderModel:
         return np.concatenate([cls_emb, self.embed[tokens]], axis=1), cls_low
 
     def _forward(self, tokens, keys, cls_raw):
-        """Logits plus the text-side caches; keys = (values, phi(values)) is shared by every site."""
+        """Logits plus the text-side caches; keys = (values, phi(values)) is shared by every site, None skips them."""
         x, cls_low = self._input_stream(tokens, cls_raw)
         caches = []
         for blk in self.blocks:
@@ -390,18 +405,17 @@ class DecoderModel:
                 f"tokens {tokens.shape}, visual features {feats.shape} and cls rows {cls_raw.shape} "
                 "must share their batch size"
             )
-        cfg = self.config
-        batch = len(tokens)
-        per_tile = max(1, TILE_BYTES // (cfg.n_rows * cfg.d_model * np.dtype(FLOAT).itemsize))
-        n_tiles = max(1, -(-batch // per_tile))  # -(-a // b) is ceil(a / b)
-        size = max(1, -(-batch // n_tiles))
-        return [slice(start, start + size) for start in range(0, max(batch, 1), size)]
+        return sample_tiles(len(tokens), self.config.n_rows * self.config.d_model * np.dtype(FLOAT).itemsize)
 
     def forward(self, tokens, feats, cls_raw, *, want_masks=False):
-        """Logits (batch, T+1, vocab); optionally the per-block keep masks."""
+        """Logits (batch, T+1, vocab); optionally the per-block keep masks.
+
+        A text-only model skips the visual side unless the masks are wanted.
+        """
+        visual = want_masks or not self.text_only
         logits, masks = [], []
         for t in self._batch_tiles(tokens, feats, cls_raw):
-            tile_logits, tile_masks = self._tile_forward(tokens[t], feats[t], cls_raw[t])
+            tile_logits, tile_masks = self._tile_forward(tokens[t], feats[t], cls_raw[t], visual)
             logits.append(tile_logits)
             if want_masks:
                 masks.append(tile_masks)
@@ -410,12 +424,15 @@ class DecoderModel:
             return logits, [np.concatenate(block) for block in zip(*masks)]
         return logits
 
-    def _tile_forward(self, tokens, feats, cls_raw):
-        """One tile's logits and per-block masks; its visual arrays are freed on return."""
+    def _tile_forward(self, tokens, feats, cls_raw, visual):
+        """One tile's logits and per-block masks (none without the visual side); its visual arrays are freed on return."""
         cfg = self.config
-        values = visual_values(feats, self.fusion, cfg.beta)[0]  # phi's saved state is dropped: only backward reads it
-        logits, (_, caches, _) = self._forward(tokens, (values, activation(values, cfg.phi)[0]), cls_raw)
-        return logits, [site.mask for _, site in caches]
+        keys = None
+        if visual:
+            values = visual_values(feats, self.fusion, cfg.beta)[0]  # phi's saved state is dropped: only backward reads it
+            keys = (values, activation(values, cfg.phi)[0])
+        logits, (_, caches, _) = self._forward(tokens, keys, cls_raw)
+        return logits, [site.mask for _, site in caches if site is not None]
 
     def loss_and_grads(self, tokens, feats, cls_raw, targets, answer_mask=None):
         """Mean cross-entropy over answer positions, and its gradients.
@@ -425,7 +442,9 @@ class DecoderModel:
         (batch, T+1) with answer_mask marking which positions count.  An
         all-false mask contributes zero loss and zero gradients.  Each
         tile's loss and gradients are already divided by the batch's
-        answer count, so the tiles' shares simply add.
+        answer count, so the tiles' shares simply add.  A text-only model
+        skips the visual side, and a_feat, b_feat and pos_embed get
+        gradients of exactly 0.
         """
         tiles = self._batch_tiles(tokens, feats, cls_raw)
         if answer_mask is None:
@@ -449,9 +468,12 @@ class DecoderModel:
     def _tile_loss_and_grads(self, tokens, feats, cls_raw, full_targets, answer_mask, count):
         """One tile's summed cross-entropy / count, and its gradients; count is the whole batch's."""
         f, cfg = self.fusion, self.config
-        values, low_rank = visual_values(feats, f, cfg.beta)
-        k_act, k_saved = activation(values, cfg.phi)
-        logits, (cls_low, caches, lnf_cache) = self._forward(tokens, (values, k_act), cls_raw)
+        keys = None
+        if not self.text_only:
+            values, low_rank = visual_values(feats, f, cfg.beta)
+            k_act, k_saved = activation(values, cfg.phi)
+            keys = (values, k_act)
+        logits, (cls_low, caches, lnf_cache) = self._forward(tokens, keys, cls_raw)
 
         d_logits = np.zeros_like(logits)
         n_answers = int(np.sum(answer_mask))
@@ -471,15 +493,18 @@ class DecoderModel:
         d_x = _ln_backward(d_nf, lnf_cache, self.lnf_g)
         factors = []
         for blk, cache in zip(reversed(self.blocks), reversed(caches)):
-            d_x, site_factors = _block_backward(d_x, cache, blk, (values, k_act), cfg)
+            d_x, site_factors = _block_backward(d_x, cache, blk, keys, cfg)
             factors.append(site_factors)
+        d_a_cls, d_b_cls = low_rank_vjp(d_x[:, :1, :], cls_raw, cls_low, f.b_cls)
+        if keys is None:
+            zero = {name: np.zeros_like(t) for name, t in self.trainable_tensors().items()}
+            return loss, {**zero, "a_cls": d_a_cls, "b_cls": d_b_cls}
 
         # one (B, N, d) cotangent for every site, formed after phi(values) is freed
-        del k_act
+        del keys, k_act
         d_values = visual_grads(factors, values, k_saved, cfg.phi)
         d_a_feat, d_b_feat = low_rank_vjp(d_values, feats, low_rank, cfg.beta * f.b_feat)
         d_b_feat *= cfg.beta  # beta scales the (r, d) factors, never the (B, N, d) d_values
-        d_a_cls, d_b_cls = low_rank_vjp(d_x[:, :1, :], cls_raw, cls_low, f.b_cls)
         return loss, dict(a_feat=d_a_feat, b_feat=d_b_feat, a_cls=d_a_cls, b_cls=d_b_cls, pos_embed=d_values.sum(axis=0))
 
     def predict(self, tokens, feats, cls_raw) -> np.ndarray:

@@ -3,14 +3,15 @@
 A symbolic 16x16 image (one-hot color channels per cell) is mapped to one
 feature row per patch by a frozen random linear map plus a fixed 2-D
 sinusoidal position code, together with a global token averaging the
-patches.  The prompt is built by pooling the 16x16 feature grid at one or
-more scales, flattening each pooled grid in raster order, and stacking
-the results in the caller's scale order.  Every step takes leading batch
-axes, so a batch of images is encoded and pooled in one call.
+patches (`synthetic_encoder`).  The prompt is built by pooling the 16x16
+feature grid at one or more scales, flattening each pooled grid in
+raster order, and stacking the results in the caller's scale order
+(`pool_scales`).  Both take leading batch axes and act per sample, so a
+batch, or any chunk of it, gives the same rows as its samples one by one.
 
 `scale_layout` is the one statement of that row layout: which rows of
-the stack belong to which scale.  The prompt's row metadata, the key
-alignment in training, and the drop-mask heatmaps all read it.
+the stack belong to which scale.  The prompt sidecar's row metadata, the
+key alignment in training, and the drop-mask heatmaps all read it.
 `check_prompt` is the one statement of which scales and pools can be
 built: `ModelConfig` applies it when a config is made, `pool_scales`
 before it pools.
@@ -19,7 +20,6 @@ before it pools.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -78,43 +78,6 @@ def pool_scales(grid: np.ndarray, scales, pool: str = "avg") -> np.ndarray:
     return np.concatenate(blocks, axis=-2)
 
 
-@dataclass
-class EncoderOutput:
-    """Frozen encoder result: per-patch features plus one global feature."""
-
-    patches: np.ndarray  # (..., 256, d_in) raster order over the 16x16 grid
-    cls: np.ndarray  # (..., 1, d_in)
-
-    def __post_init__(self):
-        if self.patches.ndim < 2 or self.patches.shape[-2] != GRID * GRID:
-            raise ShapeError(f"patches must be (..., {GRID * GRID}, d), got {self.patches.shape}")
-        expect = self.patches.shape[:-2] + (1, self.patches.shape[-1])
-        if self.cls.shape != expect:
-            raise ShapeError(f"cls must be {expect}, got {self.cls.shape}")
-
-
-@dataclass
-class MultiscalePrompt:
-    """Stacked pooled feature rows plus per-row scale/position metadata."""
-
-    features: np.ndarray  # (..., n_rows, d_in)
-    scale_of_row: np.ndarray  # (n_rows,) int, shared by every sample
-    grid_pos_of_row: np.ndarray  # (n_rows, 2) int, (row, col) at that scale
-    pool: str = "avg"
-
-    def __post_init__(self):
-        n = self.features.shape[-2]
-        if self.scale_of_row.shape != (n,) or self.grid_pos_of_row.shape != (n, 2):
-            raise ShapeError(
-                f"metadata rows must match features ({n}), got "
-                f"{self.scale_of_row.shape} and {self.grid_pos_of_row.shape}"
-            )
-
-    @property
-    def n_rows(self) -> int:
-        return self.features.shape[-2]
-
-
 def _coord_code(positions: np.ndarray, width: int) -> np.ndarray:
     """Sinusoidal code of one integer coordinate into `width` channels."""
     code = np.zeros((positions.size, width), dtype=FLOAT)
@@ -148,11 +111,12 @@ def _content_map(channels: int, d_out: int, seed: int) -> np.ndarray:
     return weights
 
 
-def synthetic_encoder(image: np.ndarray, d_out: int, seed: int) -> EncoderOutput:
-    """Deterministic stand-in for a frozen vision tower.
+def synthetic_encoder(image: np.ndarray, d_out: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic stand-in for a frozen vision tower: (patches, cls).
 
     patches = onehot_content @ W + position_code, with W drawn once from
-    the seed; cls = mean over the 256 patch rows.  `image` is one
+    the seed, is (..., 256, d_out) in raster order over the grid; cls, the
+    mean over the 256 patch rows, is (..., 1, d_out).  `image` is one
     (16, 16, c) grid or a batch (..., 16, 16, c) of them.
     """
     if image.ndim < 3 or image.shape[-3:-1] != (GRID, GRID):
@@ -162,9 +126,8 @@ def synthetic_encoder(image: np.ndarray, d_out: int, seed: int) -> EncoderOutput
         raise ValueError(f"d_out={d_out} must be at least the {channels} content channels")
     content = np.asarray(image, dtype=FLOAT).reshape(*image.shape[:-3], GRID * GRID, channels)
     patches = content @ _content_map(channels, d_out, seed)
-    patches += position_code(d_out)  # in place: a batch's patches are large
-    cls = np.mean(patches, axis=-2, keepdims=True)
-    return EncoderOutput(patches=patches, cls=cls)
+    patches += position_code(d_out)  # in place: no second patch array
+    return patches, np.mean(patches, axis=-2, keepdims=True)
 
 
 def expected_cls(channels: int, d_out: int, seed: int) -> np.ndarray:
@@ -177,31 +140,20 @@ def expected_cls(channels: int, d_out: int, seed: int) -> np.ndarray:
     return content @ _content_map(channels, d_out, seed) + position_code(d_out).mean(axis=0, keepdims=True)
 
 
-def build_prompt(enc: EncoderOutput, scales=(1, 2), pool: str = "avg") -> MultiscalePrompt:
-    """Pool the patch grid at each scale and stack the flattened results.
+def save_prompt(path, features: np.ndarray, scales, pool: str) -> None:
+    """Write pooled features in the binary tensor format plus a JSON metadata sidecar.
 
-    Scale s contributes (16/s)^2 rows, in the caller's scale order (see
-    `pool_scales`); a batch of encoder outputs gives a batch of features
-    sharing one row metadata.
+    The sidecar names the pool and, per prompt row, its scale and its
+    (row, col) cell on that scale's grid, as `scale_layout(scales)` lays
+    the rows out; features must have exactly those rows.
     """
-    grid = enc.patches.reshape(*enc.patches.shape[:-2], GRID, GRID, enc.patches.shape[-1])
-    features = pool_scales(grid, scales, pool)
-    scale_of_row = np.zeros(features.shape[-2], dtype=np.int64)
-    grid_pos_of_row = np.zeros((features.shape[-2], 2), dtype=np.int64)
-    for s, rows in scale_layout(scales).items():
-        scale_of_row[rows] = s
-        grid_pos_of_row[rows] = np.stack(np.divmod(np.arange(rows.stop - rows.start), GRID // s), axis=1)
-    return MultiscalePrompt(features, scale_of_row, grid_pos_of_row, pool=pool)
-
-
-def save_prompt(path, prompt: MultiscalePrompt) -> None:
-    """Write features in the binary tensor format plus a JSON metadata sidecar."""
+    scales = check_prompt(scales, pool)
+    n_rows = prompt_rows(scales)
+    if features.ndim < 2 or features.shape[-2] != n_rows:
+        raise ShapeError(f"features must be (..., {n_rows}, d) for scales {scales}, got {features.shape}")
     path = Path(path)
-    save_tensor(path, prompt.features)
-    sidecar = {
-        "pool": prompt.pool,
-        "scale_of_row": prompt.scale_of_row.tolist(),
-        "grid_pos_of_row": prompt.grid_pos_of_row.tolist(),
-    }
+    save_tensor(path, features)
+    cells = [(s, cell) for s, rows in scale_layout(scales).items() for cell in range(rows.stop - rows.start)]
+    sidecar = {"pool": pool, "scale_of_row": [s for s, _ in cells],
+               "grid_pos_of_row": [list(divmod(cell, GRID // s)) for s, cell in cells]}
     path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar))
-

@@ -9,6 +9,10 @@ the last axis, silu_positive's shift over the last two -- so a batch
 (B, L, d) behaves like B rank-2 calls, and pooling acts on the trailing
 (h, w, c) grid of each sample.
 
+`TILE_BYTES` and `sample_tiles` are the one tiling rule (the model
+docstring says why): the model tiles its visual side by it, batch
+encoding its patches.
+
 Everything is a pure function: inputs are never mutated and identical
 inputs produce bit-identical outputs.
 """
@@ -24,6 +28,8 @@ import numpy as np
 FLOAT = np.float64
 
 MAX_RANK = 3
+
+TILE_BYTES = 1 << 20  # most bytes of one tile's array; see the module docstring
 
 ACTIVATIONS = (
     "identity",
@@ -45,6 +51,17 @@ def as_tensor(values) -> np.ndarray:
     if arr.ndim == 0 or arr.ndim > MAX_RANK:
         raise ShapeError(f"rank must be 1..{MAX_RANK}, got shape {arr.shape}")
     return np.ascontiguousarray(arr)
+
+
+def sample_tiles(batch: int, sample_bytes: int) -> list[slice]:
+    """Near-equal slices of range(batch) whose (tile, ...) arrays of sample_bytes per sample fit TILE_BYTES.
+
+    A tile holds at least one sample.  Never empty: an empty batch is one empty tile.
+    """
+    per_tile = max(1, TILE_BYTES // max(1, sample_bytes))
+    n_tiles = max(1, -(-batch // per_tile))  # -(-a // b) is ceil(a / b)
+    size = max(1, -(-batch // n_tiles))
+    return [slice(start, start + size) for start in range(0, max(batch, 1), size)]
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

@@ -87,6 +87,7 @@ def evaluate(
             dataset, idx, cfg.d_in, encoder_seed, scales=cfg.scales, pool=cfg.pool
         )
         hits += int(np.sum(model.predict(tokens, feats, cls_raw) == answers))
+        del feats, cls_raw  # free this batch before the next is encoded
     return hits / len(dataset)
 
 
@@ -135,6 +136,7 @@ def train_model(
             trainable[name] += velocity[name]
         losses[step] = loss
         lrs[step] = lr
+        del feats, cls_raw  # free this batch before the next is encoded
     accuracy = (
         evaluate(model, test_set, encoder_seed=encoder_seed) if test_set is not None else float("nan")
     )

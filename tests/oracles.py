@@ -10,6 +10,9 @@ import math
 
 import numpy as np
 
+from fuselab.model import DecoderModel
+from fuselab.prompt import GRID, pool_scales, synthetic_encoder
+
 
 def to_lists(x):
     return np.asarray(x, dtype=float).tolist()
@@ -206,3 +209,24 @@ def grad_rel_err(analytic, numeric):
     numeric = np.asarray(numeric, dtype=float)
     denom = max(float(np.max(np.abs(numeric))), 1e-10)
     return float(np.max(np.abs(analytic - numeric))) / denom
+
+
+def encode_each(dataset, idx, d_in, encoder_seed, scales, pool):
+    """encode_batch's prompt features and cls rows, built one sample at a time.
+
+    Each sample runs alone through synthetic_encoder and pool_scales, so
+    agreement shows that neither the batch nor its chunking changes a bit.
+    """
+    feats, cls = [], []
+    for i in idx:
+        patches, cls_row = synthetic_encoder(np.eye(dataset.channels)[dataset.images[i]], d_in, encoder_seed)
+        feats.append(pool_scales(patches.reshape(GRID, GRID, d_in), scales, pool))
+        cls.append(cls_row)
+    return np.stack(feats), np.stack(cls)
+
+
+class FullPathModel(DecoderModel):
+    """DecoderModel with the text-only skip turned off: every forward and
+    loss_and_grads runs the visual side and the sites, whatever alpha is."""
+
+    text_only = False

@@ -117,6 +117,16 @@ class TestTrainCommand:
         assert err == {"error": "ValueError", "message": message, "command": "train"}
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("lr", [0.0, -0.5, float("nan")], ids=["zero", "negative", "nan"])
+    def test_unusable_base_lr_is_structured_error(self, lr, tiny_config_file, tmp_path, capsys):
+        config = json.loads(tiny_config_file.read_text())
+        tiny_config_file.write_text(json.dumps({**config, "base_lr": lr}))
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(tiny_config_file), "--out", str(out_dir)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message": f"base_lr must be finite and positive, got {lr}", "command": "train"}
+        assert not out_dir.exists()
+
     def test_missing_config_file(self, capsys):
         assert main(["train", "--config", "/no/such/file.json"]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"

@@ -31,6 +31,7 @@ MODEL_DEFAULT = {
 UNBUILDABLE = [
     {"scales": (3,)}, {"scales": ()}, {"scales": (1, 1)}, {"pool": "median"},
     {"gamma": 1.0}, {"gamma": -0.1}, {"phi": "gelu"},
+    {"base_lr": 0.0}, {"base_lr": -0.5}, {"base_lr": float("nan")},
 ]
 
 
@@ -61,15 +62,19 @@ class TestDictForms:
 
 @pytest.mark.parametrize(
     "bad", UNBUILDABLE,
-    ids=["scale-3", "no-scales", "repeated-scale", "median-pool", "gamma-1", "gamma-negative", "gelu-phi"],
+    ids=["scale-3", "no-scales", "repeated-scale", "median-pool", "gamma-1", "gamma-negative", "gelu-phi",
+         "lr-zero", "lr-negative", "lr-nan"],
 )
 def test_unbuildable_prompt_rejected_at_construction(bad, tmp_path):
-    with pytest.raises(ValueError):
-        ModelConfig(**bad)
+    """Every entry fails ExperimentConfig; the ModelConfig fields among them also fail the model's checks."""
     with pytest.raises(ValueError):
         ExperimentConfig(**bad)
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict(bad)
+    if not set(bad) <= {f.name for f in fields(ModelConfig)}:
+        return  # a run setting: a model config has no such field
+    with pytest.raises(ValueError):
+        ModelConfig(**bad)
     save_checkpoint(tmp_path / "ck", DecoderModel.build(ModelConfig(d_model=8, d_in=4, rank=2, scales=(4,))))
     manifest_path = tmp_path / "ck" / "manifest.json"
     manifest = json.loads(manifest_path.read_text())

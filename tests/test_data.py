@@ -1,10 +1,12 @@
 """Tests for the grid lookup task generator and batch encoding."""
 
-from itertools import permutations
+import tracemalloc
+from itertools import chain, permutations
 
 import numpy as np
 import pytest
 
+from fuselab import data as data_module
 from fuselab.data import (
     GridVqaDataset,
     encode_batch,
@@ -12,7 +14,13 @@ from fuselab.data import (
     question_tokens,
     vocab_size,
 )
-from fuselab.prompt import build_prompt, synthetic_encoder
+from fuselab.prompt import GRID, prompt_rows
+from fuselab.tensor import TILE_BYTES
+
+from .oracles import encode_each
+
+EVERY_SCALE_ORDER = list(chain.from_iterable(permutations((1, 2, 4), n) for n in (1, 2, 3)))
+CHUNK = TILE_BYTES // (GRID * GRID * 32 * 8)  # samples per encoder chunk at d_in = 32
 
 
 class TestVocabLayout:
@@ -94,16 +102,60 @@ class TestEncodeBatch:
     def test_matches_per_sample_pipeline(self):
         train, _ = gen_dataset(0, n_train=8, n_test=8)
         idx = [2, 0, 7, 2]
-        eye = np.eye(8)
-        for n in (1, 2, 3):
-            for scales in permutations((1, 2, 4), n):
-                for pool in ("avg", "max"):
-                    _, feats, cls_rows, _ = encode_batch(train, idx, 32, encoder_seed=9, scales=scales, pool=pool)
-                    for row, i in enumerate(idx):
-                        enc = synthetic_encoder(eye[train.images[i]], 32, 9)
-                        prompt = build_prompt(enc, scales=scales, pool=pool)
-                        np.testing.assert_array_equal(feats[row], prompt.features)
-                        np.testing.assert_array_equal(cls_rows[row], enc.cls)
+        for scales in EVERY_SCALE_ORDER:
+            for pool in ("avg", "max"):
+                _, feats, cls_rows, _ = encode_batch(train, idx, 32, encoder_seed=9, scales=scales, pool=pool)
+                expect_feats, expect_cls = encode_each(train, idx, 32, 9, scales, pool)
+                assert feats.tobytes() == expect_feats.tobytes()
+                assert cls_rows.tobytes() == expect_cls.tobytes()
+
+    @pytest.mark.parametrize("d_in, batch, chunks", [(32, 40, [14, 14, 12]), (32, 64, [16] * 4), (16, 64, [32, 32])])
+    def test_encoder_runs_in_chunks_within_tile_bytes(self, d_in, batch, chunks, monkeypatch):
+        """Near-equal chunks whose (chunk, 256, d_in) patches fit TILE_BYTES: at most 16 samples at d_in = 32, 32 at 16."""
+        train, _ = gen_dataset(0, n_train=batch, n_test=4)
+        seen = []
+        real = data_module.synthetic_encoder
+        monkeypatch.setattr(data_module, "synthetic_encoder", lambda image, *args: seen.append(len(image)) or real(image, *args))
+        encode_batch(train, np.arange(batch), d_in, encoder_seed=0)
+        assert seen == chunks
+        assert max(seen) * GRID * GRID * d_in * 8 <= TILE_BYTES
+
+    @pytest.mark.parametrize("pool", ["avg", "max"])
+    def test_chunked_batch_matches_per_sample_reference(self, pool):
+        """Bit for bit, across chunk boundaries, at every scale order: one sample, a chunk
+        less one, a chunk plus one (two uneven chunks) and 256 samples with repeats."""
+        train, _ = gen_dataset(3, n_train=300, n_test=4)
+        idx = np.random.default_rng(0).integers(0, len(train), size=256)
+        for scales in EVERY_SCALE_ORDER:
+            expect_feats, expect_cls = encode_each(train, idx, 32, 5, scales, pool)
+            for n in (1, CHUNK - 1, CHUNK + 1, 256):
+                tokens, feats, cls_rows, answers = encode_batch(train, idx[:n], 32, encoder_seed=5, scales=scales, pool=pool)
+                assert feats.shape == (n, prompt_rows(scales), 32) and cls_rows.shape == (n, 1, 32)
+                assert feats.tobytes() == expect_feats[:n].tobytes()
+                assert cls_rows.tobytes() == expect_cls[:n].tobytes()
+                np.testing.assert_array_equal(tokens, train.tokens(idx[:n]))
+                np.testing.assert_array_equal(answers, train.answers[idx[:n]])
+
+    def test_peak_within_one_prompt_and_chunk(self):
+        """Traced peak in units of the call's own (B, N, d_in) prompt array.
+
+        The prompt is allocated once and filled one chunk at a time, so the
+        peak is the prompt plus one chunk's temporaries: 1.15 at B = 256.
+        Encoding the whole batch at once, with one-hot images, patches and
+        pooled blocks of batch size beside the prompt, read 2.00.
+        """
+        train, _ = gen_dataset(0, n_train=256, n_test=4)
+        idx = np.arange(256)
+        encode_batch(train, idx[:1], 32, encoder_seed=0)  # warm: the encoder's cached tables
+        unit = 256 * prompt_rows((1, 2)) * 32 * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            encode_batch(train, idx, 32, encoder_seed=0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / unit <= 1.3
 
     def test_rows_independent_of_batch_composition(self):
         train, _ = gen_dataset(0, n_train=8, n_test=8)
