@@ -26,7 +26,6 @@ from .experiment import (
     drop_heatmap,
     expected_mean_freq,
     gradcheck_report,
-    heatmap_csv,
     loss_decreased,
     markdown_table,
     projection_ordering_note,
@@ -40,10 +39,11 @@ from .tensor import ShapeError
 ENV_SEED = "ADEMVL_SEED"
 
 
-def _env_seed() -> int | None:
+def _seed(default: int) -> int:
+    """The seed ADEMVL_SEED sets, or default when it is unset."""
     raw = os.environ.get(ENV_SEED)
     if raw is None:
-        return None
+        return default
     try:
         return int(raw)
     except ValueError as exc:
@@ -60,8 +60,7 @@ def _cmd_flops(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    seed = _env_seed() if _env_seed() is not None else args.seed
-    result = gradcheck_report(seed=seed, trials=args.trials)
+    result = gradcheck_report(seed=_seed(args.seed), trials=args.trials)
     for row in result["trials"]:
         dims = f"blocks={row['n_blocks']} d={row['d_model']} d_in={row['d_in']} r={row['rank']}"
         print(
@@ -80,10 +79,7 @@ def _load_config(path: str | None) -> ExperimentConfig:
         config = ExperimentConfig()
     else:
         config = ExperimentConfig.from_json(Path(path).read_text())
-    env = _env_seed()
-    if env is not None:
-        config = replace(config, seed=env)
-    return config
+    return replace(config, seed=_seed(config.seed))
 
 
 def _cmd_train(args) -> int:
@@ -103,9 +99,7 @@ def _cmd_ablate(args) -> int:
     base = _load_config(args.config)
     if args.steps is not None:
         base = replace(base, steps=args.steps)
-    env = _env_seed()
-    base_seed = env if env is not None else args.seed
-    reports = ablate(args.axis, base_seed=base_seed, base_config=base)
+    reports = ablate(args.axis, base_seed=_seed(args.seed), base_config=base)
     table = markdown_table(reports)
     print(table, end="")
     if args.axis == "projection":
@@ -147,18 +141,14 @@ def _cmd_heatmap(args) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for scale, grid in report.freq.items():
-            (out_dir / f"heatmap_scale{scale}.csv").write_text(heatmap_csv(grid))
-        for scale, grid in report.normalized.items():
-            (out_dir / f"heatmap_scale{scale}_normalized.csv").write_text(heatmap_csv(grid))
+        report.write_csvs(out_dir)
         (out_dir / "heatmap.json").write_text(json.dumps(report.to_dict(), indent=2))
         print(f"wrote {out_dir}")
     return 0
 
 
 def _cmd_dump_prompt(args) -> int:
-    env = _env_seed()
-    seed = env if env is not None else args.seed
+    seed = _seed(args.seed)
     rng = np.random.default_rng(seed)
     image = np.eye(args.channels)[rng.integers(0, args.channels, size=(16, 16))]
     patches, cls = synthetic_encoder(image, args.d_in, seed)

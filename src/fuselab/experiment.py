@@ -21,7 +21,7 @@ import numpy as np
 from .data import GridVqaDataset, encode_batch, gen_dataset, vocab_size
 from .flops import FlopsReport, flops
 from .fusion import drop_count
-from .model import DecoderModel, FlatConfig, ModelConfig, legal_placements, save_checkpoint
+from .model import DecoderModel, FlatConfig, ModelConfig, answer_nll, legal_placements, save_checkpoint
 from .prompt import GRID, scale_layout
 from .tensor import ACTIVATIONS
 from .train import BASE_LR, KEY_GAIN, align_visual_keys, train_model
@@ -57,7 +57,8 @@ class ExperimentConfig(FlatConfig):
     positional code (pos_scale) and value pair (b_scale).  The task needs
     at least 2 channels (colors) and a feature width d_in that holds
     them; the run sizes n_train, n_test, steps and batch_size must be at
-    least 1, and base_lr finite and positive."""
+    least 1, base_lr finite and positive, and every value of its field's
+    type."""
 
     pos_scale: float = 0.3
     b_scale: float = 1.0
@@ -73,6 +74,7 @@ class ExperimentConfig(FlatConfig):
     key_gain: float = KEY_GAIN
 
     def __post_init__(self):
+        self.check_types()
         if self.channels < 2:
             raise ValueError(f"channels must be at least 2, got {self.channels}")
         if self.d_in < self.channels:
@@ -134,6 +136,12 @@ class HeatmapReport:
                 for scale in self.counts
             },
         }
+
+    def write_csvs(self, out_dir) -> None:
+        """heatmap_scale{s}.csv (freq) and heatmap_scale{s}_normalized.csv for each scale s, in out_dir."""
+        for suffix, grids in (("", self.freq), ("_normalized", self.normalized)):
+            for scale, grid in grids.items():
+                (Path(out_dir) / f"heatmap_scale{scale}{suffix}.csv").write_text(heatmap_csv(grid))
 
 
 def drop_heatmap(
@@ -315,10 +323,7 @@ def train_and_save(config: ExperimentConfig, out_dir, *, label: str = "") -> Run
     report, model = _run(config, label, HEATMAP_SAMPLES)
     (out_dir / "report.json").write_text(report.to_json())
     (out_dir / "report.md").write_text(markdown_table([report]))
-    for scale, grid in report.heatmaps.freq.items():
-        (out_dir / f"heatmap_scale{scale}.csv").write_text(heatmap_csv(grid))
-    for scale, grid in report.heatmaps.normalized.items():
-        (out_dir / f"heatmap_scale{scale}_normalized.csv").write_text(heatmap_csv(grid))
+    report.heatmaps.write_csvs(out_dir)
     save_checkpoint(
         out_dir / "checkpoint",
         model,
@@ -411,10 +416,7 @@ def markdown_table(reports) -> str:
 
 def _answer_loss(model: DecoderModel, tokens, feats, cls_raw, targets) -> float:
     """Mean cross-entropy at the last position, read off forward's logits."""
-    logits = model.forward(tokens, feats, cls_raw)[:, -1, :]
-    top = logits.max(axis=1)
-    logz = np.log(np.sum(np.exp(logits - top[:, None]), axis=1)) + top
-    return float(np.mean(logz - logits[np.arange(len(targets)), targets]))
+    return float(np.mean(answer_nll(model.forward(tokens, feats, cls_raw)[:, -1, :], targets)))
 
 
 def gradcheck_report(seed: int = 0, trials: int = 20, tolerance: float = 1e-4) -> dict:

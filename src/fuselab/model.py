@@ -40,6 +40,7 @@ and gradients change order.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -56,7 +57,7 @@ from .fusion import (
     visual_values,
 )
 from .prompt import check_prompt, prompt_rows
-from .tensor import ACTIVATIONS, FLOAT, TILE_BYTES, ShapeError, activation, load_tensor, sample_tiles, save_tensor, sigmoid, silu_grad, softmax_rows  # noqa: F401 -- TILE_BYTES is re-exported
+from .tensor import ACTIVATIONS, FLOAT, TILE_BYTES, ShapeError, activation, activation_vjp, load_tensor, sample_tiles, save_tensor, softmax_rows  # noqa: F401 -- TILE_BYTES is re-exported
 
 LN_EPS = 1e-5
 
@@ -93,11 +94,30 @@ def legal_placements() -> tuple[PlacementConfig, ...]:
     return tuple(PlacementConfig(q, a) for q, a in LEGAL_PLACEMENTS)
 
 
+# what a value of each declared field type must be, and how an error names it
+_FIELD_TYPES = {
+    "int": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer"),
+    "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a real number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "tuple": (lambda v: isinstance(v, (tuple, list)), "a list"),  # check_prompt checks the scales in it
+    "PlacementConfig": (lambda v: isinstance(v, PlacementConfig) or (isinstance(v, (tuple, list)) and len(v) == 2),
+                        "a [query_from, add_to] list"),
+}
+
+
 class FlatConfig:
     """The flat JSON form of a config dataclass, one key per field in declaration order.
 
     Tuples and placements are lists in JSON; the dataclass's own
-    __post_init__ turns them back."""
+    __post_init__ calls check_types, then turns them back."""
+
+    def check_types(self) -> None:
+        """Raise ValueError naming the first field whose value is not of its declared type."""
+        for f in fields(self):
+            accepts, kind = _FIELD_TYPES[f.type]
+            if not accepts(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be {kind}, got {getattr(self, f.name)!r}")
 
     def to_dict(self) -> dict:
         return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
@@ -125,7 +145,8 @@ class ModelConfig(FlatConfig):
     gamma (drop ratio) and phi (similarity projection, see
     tensor.ACTIVATIONS).  Construction rejects what cannot be built: an
     illegal placement, a non-positive size, a gamma outside [0, 1), an
-    unknown phi, or a prompt that `check_prompt` refuses."""
+    unknown phi, a prompt that `check_prompt` refuses, a negative seed, or
+    a value not of its field's type."""
 
     n_blocks: int = 2
     d_model: int = 64
@@ -145,6 +166,7 @@ class ModelConfig(FlatConfig):
     seed: int = 0
 
     def __post_init__(self):
+        self.check_types()
         if isinstance(self.placement, (tuple, list)):
             self.placement = PlacementConfig(*self.placement)
         self.scales = check_prompt(self.scales, self.pool)
@@ -154,6 +176,8 @@ class ModelConfig(FlatConfig):
         for name in ("n_blocks", "d_model", "d_in", "rank", "vocab_size", "max_seq"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def n_rows(self) -> int:
@@ -228,8 +252,7 @@ def _attn_forward(n1, blk):
     logits = (q @ k.swapaxes(1, 2)) / np.sqrt(FLOAT(d))
     s = n1.shape[1]
     causal = np.tril(np.ones((s, s), dtype=bool))
-    logits = np.where(causal, logits, -np.inf)
-    weights = softmax_rows(logits)
+    weights, _ = activation(np.where(causal, logits, -np.inf), "softmax_rows")
     ctx = weights @ v
     return ctx @ blk.w_o, (q, k, v, weights)
 
@@ -240,8 +263,7 @@ def _attn_backward(d_out, cache, blk):
     d_ctx = d_out @ blk.w_o.T
     d_weights = d_ctx @ v.swapaxes(1, 2)
     d_v = weights.swapaxes(1, 2) @ d_ctx
-    inner = np.sum(d_weights * weights, axis=-1, keepdims=True)
-    d_logits = weights * (d_weights - inner)
+    d_logits = activation_vjp(None, weights, d_weights, "softmax_rows")  # reads only the weights
     scale = 1.0 / np.sqrt(FLOAT(d))
     d_q = (d_logits @ k) * scale
     d_k = (d_logits.swapaxes(1, 2) @ q) * scale
@@ -250,17 +272,14 @@ def _attn_backward(d_out, cache, blk):
 
 def _mlp_forward(n2, blk):
     pre = n2 @ blk.w_mlp1 + blk.b_mlp1
-    s = sigmoid(pre)  # kept for the backward pass
-    hidden = pre * s
+    hidden, s = activation(pre, "silu")  # s = sigmoid(pre), kept for the backward pass
     return hidden @ blk.w_mlp2 + blk.b_mlp2, (pre, s)
 
 
 def _mlp_backward(d_out, cache, blk):
     pre, s = cache
     d_hidden = d_out @ blk.w_mlp2.T
-    d_pre = silu_grad(pre, s)
-    d_pre *= d_hidden
-    return d_pre @ blk.w_mlp1.T
+    return activation_vjp(pre, s, d_hidden, "silu") @ blk.w_mlp1.T
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +343,13 @@ def _block_backward(d_out, cache, blk: DecoderBlock, keys, cfg: ModelConfig):
         d_normed = backward(tap(p_out, d_out), sub_cache, blk)
         d_out = tap(p_in, d_out + _ln_backward(d_normed, ln_cache, getattr(blk, f"{ln}_g")))
     return d_out, factors
+
+
+def answer_nll(last_logits, targets):
+    """Per-sample cross-entropy -log softmax(last_logits)[target]: (batch, vocab) logits, (batch,) targets."""
+    top = last_logits.max(axis=1)
+    logz = np.log(np.sum(np.exp(last_logits - top[:, None]), axis=1)) + top
+    return logz - last_logits[np.arange(len(targets)), targets]
 
 
 # ---------------------------------------------------------------------------
@@ -434,30 +460,18 @@ class DecoderModel:
         logits, (_, caches, _) = self._forward(tokens, keys, cls_raw)
         return logits, [site.mask for _, site in caches if site is not None]
 
-    def loss_and_grads(self, tokens, feats, cls_raw, targets, answer_mask=None):
-        """Mean cross-entropy over answer positions, and its gradients.
+    def loss_and_grads(self, tokens, feats, cls_raw, targets):
+        """Mean answer_nll at the last position over the (batch,) targets, and its gradients.
 
         The gradients are a dict keyed and ordered like trainable_tensors().
-        targets is (batch,) for the default answer position (the last), or
-        (batch, T+1) with answer_mask marking which positions count.  An
-        all-false mask contributes zero loss and zero gradients.  Each
-        tile's loss and gradients are already divided by the batch's
-        answer count, so the tiles' shares simply add.  A text-only model
-        skips the visual side, and a_feat, b_feat and pos_embed get
-        gradients of exactly 0.
+        Each tile's loss and gradients are already divided by the batch
+        size, so the tiles' shares simply add; an empty batch gives 0 and
+        zero gradients.  A text-only model skips the visual side, and
+        a_feat, b_feat and pos_embed get gradients of exactly 0.
         """
         tiles = self._batch_tiles(tokens, feats, cls_raw)
-        if answer_mask is None:
-            b, s = tokens.shape[0], tokens.shape[1] + 1
-            answer_mask = np.zeros((b, s), dtype=bool)
-            answer_mask[:, -1] = True
-            full_targets = np.zeros((b, s), dtype=np.int64)
-            full_targets[:, -1] = targets
-        else:
-            full_targets = targets
-        count = int(np.sum(answer_mask))
-        shares = (self._tile_loss_and_grads(tokens[t], feats[t], cls_raw[t], full_targets[t], answer_mask[t], count)
-                  for t in tiles)
+        count = max(len(tokens), 1)
+        shares = (self._tile_loss_and_grads(tokens[t], feats[t], cls_raw[t], targets[t], count) for t in tiles)
         loss, grads = next(shares)
         for tile_loss, tile_grads in shares:
             loss += tile_loss
@@ -465,8 +479,8 @@ class DecoderModel:
                 grads[name] += g
         return loss, grads
 
-    def _tile_loss_and_grads(self, tokens, feats, cls_raw, full_targets, answer_mask, count):
-        """One tile's summed cross-entropy / count, and its gradients; count is the whole batch's."""
+    def _tile_loss_and_grads(self, tokens, feats, cls_raw, targets, count):
+        """One tile's summed cross-entropy / count, and its gradients; count is the whole batch's size."""
         f, cfg = self.fusion, self.config
         keys = None
         if not self.text_only:
@@ -475,19 +489,12 @@ class DecoderModel:
             keys = (values, k_act)
         logits, (cls_low, caches, lnf_cache) = self._forward(tokens, keys, cls_raw)
 
+        last = logits[:, -1, :]
+        loss = float(np.sum(answer_nll(last, targets)) / count)
+        probs = softmax_rows(last)
+        probs[np.arange(len(targets)), targets] -= 1.0
         d_logits = np.zeros_like(logits)
-        n_answers = int(np.sum(answer_mask))
-        if n_answers == 0:
-            loss = 0.0
-        else:
-            sel = logits[answer_mask]  # (n_answers, vocab)
-            sel_targets = full_targets[answer_mask]
-            shifted = sel - sel.max(axis=1, keepdims=True)
-            logz = np.log(np.sum(np.exp(shifted), axis=1)) + sel.max(axis=1)
-            loss = float(np.sum(logz - sel[np.arange(n_answers), sel_targets]) / count)
-            probs = softmax_rows(sel)
-            probs[np.arange(n_answers), sel_targets] -= 1.0
-            d_logits[answer_mask] = probs / count
+        d_logits[:, -1, :] = probs / count
 
         d_nf = d_logits @ self.w_head.T
         d_x = _ln_backward(d_nf, lnf_cache, self.lnf_g)

@@ -51,18 +51,18 @@ def prompt_rows(scales) -> int:
 def check_prompt(scales, pool: str) -> tuple[int, ...]:
     """Reject a prompt that cannot be built; return its scales as a tuple of ints.
 
-    A prompt needs at least one scale, each from SCALES and none twice,
-    and a pool from POOLS."""
-    scales = tuple(int(s) for s in scales)
+    A prompt needs at least one scale, each one of SCALES (True or 1.5 is
+    not) and none twice, and a pool from POOLS."""
+    scales = tuple(scales)
     if not scales:
         raise ValueError("at least one scale is required")
-    if any(s not in SCALES for s in scales):
+    if any(isinstance(s, bool) or s not in SCALES for s in scales):
         raise ValueError(f"scales must come from {SCALES}, got {scales}")
     if len(set(scales)) != len(scales):
         raise ValueError(f"duplicate scales in {scales}")
     if pool not in POOLS:
         raise ValueError(f"pool must be one of {POOLS}, got {pool!r}")
-    return scales
+    return tuple(int(s) for s in scales)
 
 
 def pool_scales(grid: np.ndarray, scales, pool: str = "avg") -> np.ndarray:

@@ -130,9 +130,9 @@ def silu_grad(x: np.ndarray, s: np.ndarray) -> np.ndarray:
 def activation_vjp(x: np.ndarray, saved: np.ndarray | None, grad_out: np.ndarray, kind: str) -> np.ndarray:
     """Vector-Jacobian product of `activation` at input x.
 
-    saved is the second value `activation(x, kind)` returned.  Returns
-    d(loss)/dx given d(loss)/d(activation(x)); neither x, saved nor
-    grad_out is modified.  The subgradient at the relu kink and at
+    saved is the second value `activation(x, kind)` returned; identity and
+    softmax_rows never read x.  Returns d(loss)/dx given
+    d(loss)/d(activation(x)); neither x, saved nor grad_out is modified.  The subgradient at the relu kink and at
     silu_positive's argmin picks one deterministic representative
     (relu'(0) = 0; each sample's min is attributed to its first minimising
     entry in row-major order).

@@ -1,15 +1,19 @@
 """Tests for the command-line interface: outputs, artifacts, exit codes."""
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fuselab.cli import main
+from fuselab.cli import build_parser, main
 from fuselab.data import gen_dataset
 from fuselab.experiment import drop_heatmap
 from fuselab.model import DecoderModel, ModelConfig, load_checkpoint, save_checkpoint
 from fuselab.tensor import load_tensor
+
+from .test_config import MISTYPED, MISTYPED_IDS
 
 
 @pytest.fixture()
@@ -127,6 +131,18 @@ class TestTrainCommand:
         assert err == {"error": "ValueError", "message": f"base_lr must be finite and positive, got {lr}", "command": "train"}
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("bad", MISTYPED, ids=MISTYPED_IDS)
+    def test_mistyped_value_is_structured_error(self, bad, tiny_config_file, tmp_path, capsys):
+        config = json.loads(tiny_config_file.read_text())
+        tiny_config_file.write_text(json.dumps({**config, **bad}))
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(tiny_config_file), "--out", str(out_dir)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        (name,) = bad
+        assert err["error"] == "ValueError" and err["command"] == "train"
+        assert err["message"].startswith(f"{name} must ")
+        assert not out_dir.exists()
+
     def test_missing_config_file(self, capsys):
         assert main(["train", "--config", "/no/such/file.json"]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
@@ -206,6 +222,13 @@ class TestHeatmapCommand:
         capsys.readouterr()
         full = json.loads((tmp_path / "all" / "heatmap.json").read_text())
         assert full == json.loads((run_dir / "report.json").read_text())["heatmaps"]
+        # and writes byte-identical CSVs, per scale, raw and normalized
+        written = sorted(path.name for path in run_dir.glob("heatmap_*.csv"))
+        assert written == ["heatmap_scale1.csv", "heatmap_scale1_normalized.csv",
+                           "heatmap_scale2.csv", "heatmap_scale2_normalized.csv"]
+        assert sorted(path.name for path in (tmp_path / "all").glob("*.csv")) == written
+        for name in written:
+            assert (tmp_path / "all" / name).read_bytes() == (run_dir / name).read_bytes(), name
 
     def test_checkpoint_without_run_config_structured_error(self, tmp_path, capsys):
         save_checkpoint(tmp_path / "bare", DecoderModel.build(ModelConfig()))
@@ -253,3 +276,13 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+
+class TestReadme:
+    def test_command_line_block_parses(self):
+        """Every `fuselab ...` line of README's "Command line" block parses, and together they use all six subcommands."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+        lines = [line.split("#", 1)[0] for line in block.splitlines() if line.startswith("fuselab ")]
+        commands = {build_parser().parse_args(shlex.split(line)[1:]).command for line in lines}
+        assert commands == {"flops", "gradcheck", "train", "ablate", "heatmap", "dump-prompt"}

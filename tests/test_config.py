@@ -28,10 +28,19 @@ MODEL_DEFAULT = {
     "scales": [1, 2], "pool": "avg", "pos_scale": 0.1, "b_scale": 0.1, "seed": 0,
 }
 
+# values of the wrong type for their field, as a JSON config could hold them, and a negative seed
+MISTYPED = [
+    {"seed": 1.5}, {"steps": 1.5}, {"d_model": 8.5}, {"seed": "a"}, {"alpha": "x"}, {"placement": "mlp_in"},
+    {"scales": 1}, {"scales": [1.5, 2]}, {"scales": [True, 2]}, {"seed": -1}, {"align_keys": "no"},
+]
+MISTYPED_IDS = ["seed-float", "steps-float", "d_model-float", "seed-str", "alpha-str", "placement-str",
+                "scales-int", "scales-float-item", "scales-bool-item", "seed-negative", "align_keys-str"]
+
 UNBUILDABLE = [
     {"scales": (3,)}, {"scales": ()}, {"scales": (1, 1)}, {"pool": "median"},
     {"gamma": 1.0}, {"gamma": -0.1}, {"phi": "gelu"},
     {"base_lr": 0.0}, {"base_lr": -0.5}, {"base_lr": float("nan")},
+    *MISTYPED,
 ]
 
 
@@ -63,7 +72,7 @@ class TestDictForms:
 @pytest.mark.parametrize(
     "bad", UNBUILDABLE,
     ids=["scale-3", "no-scales", "repeated-scale", "median-pool", "gamma-1", "gamma-negative", "gelu-phi",
-         "lr-zero", "lr-negative", "lr-nan"],
+         "lr-zero", "lr-negative", "lr-nan", *MISTYPED_IDS],
 )
 def test_unbuildable_prompt_rejected_at_construction(bad, tmp_path):
     """Every entry fails ExperimentConfig; the ModelConfig fields among them also fail the model's checks."""
@@ -82,6 +91,10 @@ def test_unbuildable_prompt_rejected_at_construction(bad, tmp_path):
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(ValueError):
         load_checkpoint(tmp_path / "ck")
+
+
+def test_int_is_accepted_for_a_real_field():
+    assert ExperimentConfig.from_dict({"alpha": 0, "base_lr": 1}).to_dict()["alpha"] == 0
 
 
 # task settings only ExperimentConfig holds: a run needs 2 colors and a feature width that holds them

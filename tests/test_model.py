@@ -1,5 +1,6 @@
 """Tests for the frozen toy decoder and its placement-configurable fusion."""
 
+import math
 import re
 import tracemalloc
 from dataclasses import replace
@@ -14,13 +15,14 @@ from fuselab.model import (
     DecoderModel,
     ModelConfig,
     PlacementConfig,
+    answer_nll,
     legal_placements,
     load_checkpoint,
     save_checkpoint,
 )
 from fuselab.tensor import ShapeError
 
-from .oracles import fd_grad, grad_rel_err
+from .oracles import fd_grad, grad_rel_err, softmax_row_list
 
 
 def tiny_config(**overrides):
@@ -61,17 +63,17 @@ def awaken(model, seed=0, scale=0.3):
     return model
 
 
-def assert_gradcheck(model, tokens, feats, cls_raw, targets, *, answer_mask=None, label=None):
+def assert_gradcheck(model, tokens, feats, cls_raw, targets, *, label=None):
     """Every fusion gradient of loss_and_grads within 1e-4 of central differences.
 
     The gradients are a dict with exactly the keys, order and shapes of
     trainable_tensors()."""
-    _, grads = model.loss_and_grads(tokens, feats, cls_raw, targets, answer_mask)
+    _, grads = model.loss_and_grads(tokens, feats, cls_raw, targets)
     shapes = [(name, t.shape) for name, t in model.trainable_tensors().items()]
     assert isinstance(grads, dict) and [(name, g.shape) for name, g in grads.items()] == shapes, label
     for name, analytic in grads.items():
         numeric = fd_grad(
-            lambda _v: model.loss_and_grads(tokens, feats, cls_raw, targets, answer_mask)[0],
+            lambda _v: model.loss_and_grads(tokens, feats, cls_raw, targets)[0],
             model.trainable_tensors()[name],
             inplace=True,
         )
@@ -171,13 +173,6 @@ class TestPlacements:
         model = awaken(DecoderModel.build(tiny_config(n_blocks=n_blocks)))
         assert_gradcheck(model, *tiny_inputs(12), label=n_blocks)
 
-    def test_gradcheck_multi_position_answer_mask(self):
-        model = awaken(DecoderModel.build(tiny_config()))
-        tokens, feats, cls_raw, _ = tiny_inputs(13)
-        targets = np.random.default_rng(13).integers(0, 8, size=(2, 3))
-        answer_mask = np.array([[False, True, True], [True, False, True]])
-        assert_gradcheck(model, tokens, feats, cls_raw, targets, answer_mask=answer_mask, label="mask")
-
 
 class TestCausality:
     @pytest.mark.parametrize("position", [0, 1])
@@ -244,25 +239,16 @@ class TestBatchSemantics:
             for block, single in zip(masks, single_masks, strict=True):
                 assert block[one].tobytes() == single.tobytes()
 
-    @pytest.mark.parametrize("masked", [False, True], ids=["last-position", "multi-position"])
-    def test_tiled_loss_is_count_weighted_sum_of_samples(self, tiled, masked):
-        model, (tokens, feats, cls_raw, targets), tiles = tiled
-        answer_mask = None
-        if masked:  # random answer positions, none at all in the middle tile
-            g = np.random.default_rng(16)
-            answer_mask = g.random((13, 3)) < 0.5
-            answer_mask[tiles[1]] = False
-            targets = g.integers(0, 8, size=(13, 3))
-        counts = np.ones(13) if answer_mask is None else answer_mask.sum(axis=1)
-        loss, grads = model.loss_and_grads(tokens, feats, cls_raw, targets, answer_mask)
+    @pytest.mark.parametrize("answer", ["last-position"])
+    def test_tiled_loss_is_count_weighted_sum_of_samples(self, tiled, answer):
+        """Each of the 13 samples weighs 1/13: the tiles' shares add up to the batch mean."""
+        model, (tokens, feats, cls_raw, targets), _ = tiled
+        loss, grads = model.loss_and_grads(tokens, feats, cls_raw, targets)
         expect_loss, expect = 0.0, {name: np.zeros_like(t) for name, t in model.trainable_tensors().items()}
+        weight = 1 / 13
         for b in range(13):
             one = slice(b, b + 1)
-            sample_mask = None if answer_mask is None else answer_mask[one]
-            sample_loss, sample_grads = model.loss_and_grads(
-                tokens[one], feats[one], cls_raw[one], targets[one], sample_mask
-            )
-            weight = counts[b] / counts.sum()
+            sample_loss, sample_grads = model.loss_and_grads(tokens[one], feats[one], cls_raw[one], targets[one])
             expect_loss += weight * sample_loss
             for name, g in sample_grads.items():
                 expect[name] += weight * g
@@ -295,17 +281,6 @@ class TestBatchSemantics:
 
 
 class TestLoss:
-    def test_empty_answer_span_contributes_zero(self):
-        model = awaken(DecoderModel.build(tiny_config()))
-        tokens, feats, cls_raw, _ = tiny_inputs(9)
-        b, s = 2, 3
-        mask = np.zeros((b, s), dtype=bool)
-        targets = np.zeros((b, s), dtype=np.int64)
-        loss, grads = model.loss_and_grads(tokens, feats, cls_raw, targets, answer_mask=mask)
-        assert loss == 0.0
-        for _, g in grads.items():
-            np.testing.assert_array_equal(g, np.zeros_like(g))
-
     def test_loss_is_mean_cross_entropy_at_last_position(self):
         model = awaken(DecoderModel.build(tiny_config()))
         tokens, feats, cls_raw, targets = tiny_inputs(10)
@@ -315,6 +290,24 @@ class TestLoss:
         logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         expect = -np.mean(logp[np.arange(2), targets])
         assert abs(loss - expect) < 1e-12
+
+    @pytest.mark.parametrize("spread", [3.0, 1e3], ids=["ordinary", "spread-1e3"])
+    @pytest.mark.parametrize("pick", ["random", "row-max", "row-min"])
+    def test_answer_nll_is_minus_log_softmax(self, spread, pick):
+        g = np.random.default_rng(18)
+        logits = spread * g.uniform(-1.0, 1.0, size=(6, 40))
+        targets = {"random": g.integers(0, 40, size=6), "row-max": logits.argmax(axis=1),
+                   "row-min": logits.argmin(axis=1)}[pick]
+        nll = answer_nll(logits, targets)
+        assert nll.shape == (6,) and np.all(np.isfinite(nll))
+        for row, t, got in zip(logits.tolist(), targets, nll):
+            p = softmax_row_list(row)[t]
+            if p > 0:
+                expect = -math.log(p)
+            else:  # p underflows to 0 at a 2e3 spread: the same -log p in the log domain
+                top = max(row)
+                expect = top - row[t] + math.log(math.fsum(math.exp(v - top) for v in row))
+            assert abs(got - expect) <= 1e-12 * max(1.0, expect), (row[t], got, expect)
 
     @pytest.mark.parametrize("shape", [(2, 5, 4), (2, 1, 4), (2, 16, 3)])
     def test_visual_feature_shape_checked(self, shape):
