@@ -40,14 +40,18 @@ ENV_SEED = "ADEMVL_SEED"
 
 
 def _seed(default: int) -> int:
-    """The seed ADEMVL_SEED sets, or default when it is unset."""
-    raw = os.environ.get(ENV_SEED)
+    """The seed ADEMVL_SEED sets, or default (--seed's or the config's) when it is unset; never negative."""
+    raw, source = os.environ.get(ENV_SEED), ENV_SEED
     if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{ENV_SEED} must be an integer, got {raw!r}") from exc
+        seed, source = default, "--seed"
+    else:
+        try:
+            seed = int(raw)
+        except ValueError as exc:
+            raise ValueError(f"{ENV_SEED} must be an integer, got {raw!r}") from exc
+    if seed < 0:
+        raise ValueError(f"{source} must be non-negative, got {seed}")
+    return seed
 
 
 def _cmd_flops(args) -> int:

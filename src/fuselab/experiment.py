@@ -91,9 +91,6 @@ class ExperimentConfig(FlatConfig):
         shared = {f.name: getattr(self, f.name) for f in _MODEL_FIELDS}
         return ModelConfig(vocab_size=vocab_size(self.channels), **shared)
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         return cls.from_dict(json.loads(text))

@@ -345,6 +345,17 @@ def _block_backward(d_out, cache, blk: DecoderBlock, keys, cfg: ModelConfig):
     return d_out, factors
 
 
+def add_shares(shares):
+    """Sum (loss, grads) shares in the order given, into the first share's gradient arrays."""
+    shares = iter(shares)
+    loss, grads = next(shares)
+    for share_loss, share_grads in shares:
+        loss += share_loss
+        for name, g in share_grads.items():
+            grads[name] += g
+    return loss, grads
+
+
 def answer_nll(last_logits, targets):
     """Per-sample cross-entropy -log softmax(last_logits)[target]: (batch, vocab) logits, (batch,) targets."""
     top = last_logits.max(axis=1)
@@ -417,12 +428,12 @@ class DecoderModel:
         nf, lnf_cache = _ln_forward(x, self.lnf_g, self.lnf_b)
         return nf @ self.w_head, (cls_low, caches, lnf_cache)
 
-    def _batch_tiles(self, tokens, feats, cls_raw) -> list[slice]:
-        """Near-equal sample slices whose (tile, N, d) arrays stay within TILE_BYTES.
+    def tiles(self, batch: int) -> list[slice]:
+        """Near-equal slices of range(batch) whose (tile, N, d) arrays stay within TILE_BYTES; never empty."""
+        return sample_tiles(batch, self.config.n_rows * self.config.d_model * np.dtype(FLOAT).itemsize)
 
-        Checks the whole batch first: tokens is (batch, T), and the inputs
-        share the batch size.  Never empty: an empty batch is one empty tile.
-        """
+    def _check_batch(self, tokens, feats, cls_raw) -> None:
+        """tokens is (batch, T), the visual features fit the model, and the inputs share the batch size."""
         if tokens.ndim != 2:
             raise ShapeError(f"tokens must be (batch, T), got {tokens.shape}")
         _check_visual_features(feats, self.fusion)
@@ -431,16 +442,16 @@ class DecoderModel:
                 f"tokens {tokens.shape}, visual features {feats.shape} and cls rows {cls_raw.shape} "
                 "must share their batch size"
             )
-        return sample_tiles(len(tokens), self.config.n_rows * self.config.d_model * np.dtype(FLOAT).itemsize)
 
     def forward(self, tokens, feats, cls_raw, *, want_masks=False):
         """Logits (batch, T+1, vocab); optionally the per-block keep masks.
 
         A text-only model skips the visual side unless the masks are wanted.
         """
+        self._check_batch(tokens, feats, cls_raw)
         visual = want_masks or not self.text_only
         logits, masks = [], []
-        for t in self._batch_tiles(tokens, feats, cls_raw):
+        for t in self.tiles(len(tokens)):
             tile_logits, tile_masks = self._tile_forward(tokens[t], feats[t], cls_raw[t], visual)
             logits.append(tile_logits)
             if want_masks:
@@ -463,21 +474,24 @@ class DecoderModel:
     def loss_and_grads(self, tokens, feats, cls_raw, targets):
         """Mean answer_nll at the last position over the (batch,) targets, and its gradients.
 
-        The gradients are a dict keyed and ordered like trainable_tensors().
-        Each tile's loss and gradients are already divided by the batch
-        size, so the tiles' shares simply add; an empty batch gives 0 and
-        zero gradients.  A text-only model skips the visual side, and
-        a_feat, b_feat and pos_embed get gradients of exactly 0.
+        The gradients are a dict keyed and ordered like trainable_tensors():
+        add_shares over every tile's share; an empty batch gives 0 and zero
+        gradients.  A text-only model skips the visual side, and a_feat,
+        b_feat and pos_embed get gradients of exactly 0.
         """
-        tiles = self._batch_tiles(tokens, feats, cls_raw)
-        count = max(len(tokens), 1)
-        shares = (self._tile_loss_and_grads(tokens[t], feats[t], cls_raw[t], targets[t], count) for t in tiles)
-        loss, grads = next(shares)
-        for tile_loss, tile_grads in shares:
-            loss += tile_loss
-            for name, g in tile_grads.items():
-                grads[name] += g
-        return loss, grads
+        return add_shares(self.tile_shares(tokens, feats, cls_raw, targets, self.tiles(len(tokens)), len(tokens)))
+
+    def tile_shares(self, tokens, feats, cls_raw, targets, tiles, count):
+        """Each tile's (loss, grads) share, lazily and in order, after checking these inputs' shapes.
+
+        The tiles slice these arrays; count is the size of the whole batch
+        they belong to, and each share is already divided by it, so the
+        shares of all its tiles add up (add_shares) to the batch mean
+        whichever process computed each one.
+        """
+        self._check_batch(tokens, feats, cls_raw)
+        count = max(count, 1)
+        return (self._tile_loss_and_grads(tokens[t], feats[t], cls_raw[t], targets[t], count) for t in tiles)
 
     def _tile_loss_and_grads(self, tokens, feats, cls_raw, targets, count):
         """One tile's summed cross-entropy / count, and its gradients; count is the whole batch's size."""

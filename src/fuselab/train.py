@@ -2,17 +2,33 @@
 
 Only the fusion tensors move; the base LM stays frozen by construction
 because the update loop iterates over the model's trainable set alone.
+
+A training step splits its batch's tiles (DecoderModel.tiles) into one
+contiguous run per usable CPU, at most one per tile.  The main process
+takes the first run; each other run goes to a helper process that
+`train_model` forks when it starts and reaps when it returns or raises.
+Each step a helper receives the trainable tensors, its samples' indices
+and its tiles; it inherits the frozen base and the dataset through the
+fork, encodes only its own samples and sends back one (loss, grads)
+share per tile.  The main process adds every share in tile order
+(add_shares, as loss_and_grads does), so losses and trained tensors do
+not depend on the number of processes.  Separate processes, unlike
+threads, do not share an interpreter lock.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
+import pickle
+import threading
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import GridVqaDataset, encode_batch, question_tokens, vocab_size
-from .model import DecoderModel
+from .model import DecoderModel, add_shares
 from .prompt import GRID, expected_cls, pool_scales
 
 BASE_LR = 9e-3
@@ -91,6 +107,111 @@ def evaluate(
     return hits / len(dataset)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot fork or say."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _runs(tiles: list[slice], parts: int) -> list[list[slice]]:
+    """tiles cut into `parts` contiguous runs of near-equal length, the longer first."""
+    cuts = [-(-i * len(tiles) // parts) for i in range(parts + 1)]  # -(-a // b) is ceil(a / b)
+    return [tiles[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+class _Helper:
+    """A forked process that computes the shares of one run of tiles, step after step.
+
+    A request is a pickle (protocol 5 writes arrays without a copy) of
+    the trainable tensors, the run's sample indices and its tiles
+    relative to those samples.  A reply is a pickled None, or the
+    exception the helper raised, and then each tile's share as raw
+    float64: its loss, then its gradients in trainable_tensors() order.
+    The main process reads every share into one buffer allocated per
+    call, so the replies add nothing to its heap.  The helper exits when
+    its request pipe reaches EOF: when `close` closes it, or when the
+    main process dies.
+    """
+
+    def __init__(self, model: DecoderModel, dataset: GridVqaDataset, encoder_seed: int, count: int, run: list[slice]):
+        self.samples = slice(run[0].start, run[-1].stop)
+        self.tiles = [slice(t.start - run[0].start, t.stop - run[0].start) for t in run]
+        trainable = model.trainable_tensors()
+        self.share = np.empty(1 + sum(t.size for t in trainable.values()))
+        self.grads, offset = {}, 1
+        for name, t in trainable.items():
+            self.grads[name] = self.share[offset : offset + t.size].reshape(t.shape)
+            offset += t.size
+        request_r, request_w = os.pipe()
+        reply_r, reply_w = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(request_w)
+                os.close(reply_r)
+                with os.fdopen(request_r, "rb") as requests, os.fdopen(reply_w, "wb") as replies:
+                    _serve(model, dataset, encoder_seed, count, requests, replies)
+                code = 0
+            finally:
+                os._exit(code)  # no atexit handlers or buffers of the main process run here
+        os.close(request_r)
+        os.close(reply_w)
+        self.requests = os.fdopen(request_w, "wb")
+        self.replies = os.fdopen(reply_r, "rb")
+
+    def send(self, trainable: dict, idx: np.ndarray) -> None:
+        pickle.dump((trainable, idx[self.samples], self.tiles), self.requests, pickle.HIGHEST_PROTOCOL)
+        self.requests.flush()
+
+    def shares(self):
+        """The replies to the last request, each read into the same buffer: use a share before taking the next."""
+        lost = RuntimeError(f"training helper {self.pid} exited mid-step")
+        try:
+            error = pickle.load(self.replies)
+        except EOFError:
+            error = lost
+        if error is not None:
+            raise error
+        for _ in self.tiles:
+            if self.replies.readinto(self.share) != self.share.nbytes:
+                raise lost
+            yield float(self.share[0]), self.grads
+
+    def close(self) -> None:
+        """Close both pipes, which ends the helper wherever it is, and reap it."""
+        for pipe in (self.requests, self.replies):
+            try:
+                pipe.close()
+            except OSError:  # the flush of a request the helper never read
+                pass
+        os.waitpid(self.pid, 0)
+
+
+def _serve(model: DecoderModel, dataset: GridVqaDataset, encoder_seed: int, count: int, requests, replies) -> None:
+    """The helper's loop: load the tensors, encode the samples, reply with every tile's share."""
+    cfg, trainable = model.config, model.trainable_tensors()
+    while True:
+        try:
+            tensors, idx, tiles = pickle.load(requests)
+        except EOFError:
+            return
+        error, shares = None, []
+        try:
+            for name, t in tensors.items():
+                trainable[name][...] = t
+            batch = encode_batch(dataset, idx, cfg.d_in, encoder_seed, scales=cfg.scales, pool=cfg.pool)
+            for loss, grads in model.tile_shares(*batch, tiles, count):  # all computed before the main process reads
+                shares.append(np.concatenate([[loss], *(grads[name].ravel() for name in trainable)]))
+        except Exception as exc:  # noqa: BLE001 -- re-raised in the main process
+            error, shares = exc, []
+        pickle.dump(error, replies, pickle.HIGHEST_PROTOCOL)
+        for share in shares:
+            replies.write(share)
+        replies.flush()
+
+
 def train_model(
     model: DecoderModel,
     train_set: GridVqaDataset,
@@ -105,9 +226,10 @@ def train_model(
     """Optimize the fusion tensors in place; returns the loss trajectory.
 
     Batches are sampled with replacement from a dedicated generator, so
-    the run is a pure function of (model state, dataset, seed).  A
-    non-finite loss aborts immediately rather than training onward from
-    poisoned parameters.
+    the run is a pure function of (model state, dataset, seed), whatever
+    the number of helper processes (module docstring).  A non-finite loss
+    aborts immediately rather than training onward from poisoned
+    parameters.
     """
     t0 = time.perf_counter()
     cfg = model.config
@@ -118,25 +240,41 @@ def train_model(
     velocity = {name: np.zeros_like(t) for name, t in trainable.items()}
     losses = np.zeros(steps)
     lrs = np.zeros(steps)
-    for step in range(steps):
-        idx = batch_rng.integers(0, len(train_set), size=batch_size)
-        tokens, feats, cls_raw, answers = encode_batch(
-            train_set, idx, cfg.d_in, encoder_seed, scales=cfg.scales, pool=cfg.pool
-        )
-        loss, grads = model.loss_and_grads(tokens, feats, cls_raw, answers)
-        if not np.isfinite(loss):
-            raise TrainingDiverged(
-                f"loss became {loss} at step {step} (lr {cosine_lr(step, steps, base_lr):.3e}); "
-                "try a smaller learning rate or pos_scale"
+    tiles = model.tiles(batch_size)
+    # fork copies only the calling thread: a lock another thread holds would stay held in a helper
+    processes = min(_usable_cpus(), len(tiles)) if threading.active_count() == 1 else 1
+    own, *runs = _runs(tiles, processes)
+    helpers = []
+    try:
+        for run in runs:
+            helpers.append(_Helper(model, train_set, encoder_seed, batch_size, run))
+        for step in range(steps):
+            idx = batch_rng.integers(0, len(train_set), size=batch_size)
+            for helper in helpers:
+                helper.send(trainable, idx)
+            tokens, feats, cls_raw, answers = encode_batch(
+                train_set, idx[: own[-1].stop], cfg.d_in, encoder_seed, scales=cfg.scales, pool=cfg.pool
             )
-        lr = cosine_lr(step, steps, base_lr)
-        for name, grad in grads.items():
-            velocity[name] *= MOMENTUM
-            velocity[name] -= lr * grad
-            trainable[name] += velocity[name]
-        losses[step] = loss
-        lrs[step] = lr
-        del feats, cls_raw  # free this batch before the next is encoded
+            loss, grads = add_shares(itertools.chain(
+                model.tile_shares(tokens, feats, cls_raw, answers, own, batch_size),
+                *(helper.shares() for helper in helpers),
+            ))
+            if not np.isfinite(loss):
+                raise TrainingDiverged(
+                    f"loss became {loss} at step {step} (lr {cosine_lr(step, steps, base_lr):.3e}); "
+                    "try a smaller learning rate or pos_scale"
+                )
+            lr = cosine_lr(step, steps, base_lr)
+            for name, grad in grads.items():
+                velocity[name] *= MOMENTUM
+                velocity[name] -= lr * grad
+                trainable[name] += velocity[name]
+            losses[step] = loss
+            lrs[step] = lr
+            del feats, cls_raw  # free this batch before the next is encoded
+    finally:
+        for helper in reversed(helpers):  # a later helper holds copies of an earlier one's pipes
+            helper.close()
     accuracy = (
         evaluate(model, test_set, encoder_seed=encoder_seed) if test_set is not None else float("nan")
     )

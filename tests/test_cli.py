@@ -271,6 +271,31 @@ class TestDumpPromptCommand:
         assert "272 rows" in capsys.readouterr().out
 
 
+class TestNegativeSeed:
+    @pytest.mark.parametrize("env, argv, source", [
+        ("-1", ["gradcheck", "--trials", "1"], "ADEMVL_SEED"),
+        (None, ["gradcheck", "--trials", "1", "--seed", "-1"], "--seed"),
+        (None, ["ablate", "--axis", "gamma", "--steps", "1", "--seed", "-2", "--out", "OUT"], "--seed"),
+        ("-3", ["dump-prompt", "--out", "OUT"], "ADEMVL_SEED"),
+        (None, ["dump-prompt", "--seed", "-1", "--out", "OUT"], "--seed"),
+        ("-1", ["train", "--out", "OUT"], "ADEMVL_SEED"),
+    ], ids=["env-gradcheck", "gradcheck", "ablate", "env-dump-prompt", "dump-prompt", "env-train"])
+    def test_is_structured_error_naming_its_source(self, env, argv, source, tmp_path, monkeypatch, capsys):
+        """Exit 1 with the JSON error before anything is printed or written; OUT is the output path."""
+        if env is None:
+            monkeypatch.delenv("ADEMVL_SEED", raising=False)
+        else:
+            monkeypatch.setenv("ADEMVL_SEED", env)
+        out = tmp_path / "out"
+        assert main([str(out) if arg == "OUT" else arg for arg in argv]) == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError" and err["command"] == argv[0]
+        assert err["message"].startswith(f"{source} must be non-negative, got -")
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestUsageErrors:
     def test_no_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:

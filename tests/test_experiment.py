@@ -46,7 +46,7 @@ def tiny_config(**overrides):
 class TestExperimentConfig:
     def test_json_round_trip(self):
         cfg = tiny_config(placement=("mhsa_in", "mhsa_out"), scales=(1, 4))
-        assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+        assert ExperimentConfig.from_json(json.dumps(cfg.to_dict())) == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):

@@ -224,7 +224,7 @@ class TestBatchSemantics:
         config = ModelConfig()
         model = awaken(DecoderModel.build(config))
         inputs = tiny_inputs(15, 13, config.vocab_size, config.n_rows, config.d_in)
-        tiles = model._batch_tiles(*inputs[:3])
+        tiles = model.tiles(13)
         sizes = [len(range(13)[t]) for t in tiles]
         assert len(tiles) >= 3 and len(set(sizes)) > 1 and sum(sizes) == 13
         return model, inputs, tiles

@@ -1,11 +1,15 @@
-"""Tests for the fusion trainer: schedule, determinism, frozen base."""
+"""Tests for the fusion trainer: schedule, determinism, frozen base, helper processes."""
 
+import os
+import signal
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from fuselab import model as model_module
+from fuselab import train as train_module
 from fuselab.data import encode_batch, gen_dataset
 from fuselab.experiment import ExperimentConfig, drop_heatmap
 from fuselab.model import DecoderModel, ModelConfig, legal_placements
@@ -136,6 +140,128 @@ class TestTrainLoop:
         first = float(np.mean(result.losses[:15]))
         last = float(np.mean(result.losses[-15:]))
         assert last < first, (first, last)
+
+
+class InjectedFailure(Exception):
+    """Raised on purpose in one process; importable, so it pickles back from a helper."""
+
+
+class TestHelperProcesses:
+    """train_model splits each step's tiles between the main process and min(CPUs, tiles) - 1 helpers."""
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """A helper that never exits would hang train_model's reaping; fail the test instead."""
+
+        def expire(signum, frame):
+            raise TimeoutError("test overran its 120 s deadline")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(120)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @pytest.fixture()
+    def forks(self, monkeypatch):
+        """Counts the helpers each train_model call forks."""
+        made = []
+
+        class CountedHelper(train_module._Helper):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self.pid)
+
+        monkeypatch.setattr(train_module, "_Helper", CountedHelper)
+        return made
+
+    @staticmethod
+    def train(monkeypatch, cpus, steps=3, batch_size=64, **overrides):
+        monkeypatch.setattr(train_module, "_usable_cpus", lambda: cpus)
+        config = ExperimentConfig(**overrides)
+        train_set, test_set = gen_dataset(2, n_train=128, n_test=40)
+        model = align_visual_keys(DecoderModel.build(config.model_config()), channels=8)
+        result = train_model(model, train_set, test_set, steps=steps, batch_size=batch_size, seed=4)
+        return result, {name: t.tobytes() for name, t in model.trainable_tensors().items()}
+
+    @pytest.mark.parametrize("batch_size, overrides", [
+        (64, {}),
+        (13, {}),  # tiles of 5, 5 and 3 samples
+        (64, {"alpha": 0.0}),
+        (40, {"phi": "softmax_rows", "placement": ("mhsa_in", "mhsa_out")}),
+    ], ids=["default", "uneven-tiles", "text-only", "phi-and-placement"])
+    def test_bit_identical_for_any_helper_count(self, batch_size, overrides, monkeypatch, forks):
+        runs = []
+        for cpus in (1, 2, 3):
+            forks.clear()
+            runs.append(self.train(monkeypatch, cpus, batch_size=batch_size, **overrides))
+            assert len(forks) == cpus - 1
+        (ref, ref_tensors), *others = runs
+        for result, tensors in others:
+            assert result.losses.tobytes() == ref.losses.tobytes()
+            assert result.final_accuracy == ref.final_accuracy
+            assert tensors == ref_tensors
+
+    def test_no_helper_for_one_tile(self, monkeypatch, forks):
+        self.train(monkeypatch, cpus=2, batch_size=6)
+        assert forks == []
+
+    def test_no_helper_while_another_thread_runs(self, monkeypatch, forks):
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            threaded = self.train(monkeypatch, cpus=2, batch_size=13)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert forks == [] and not other.is_alive()
+        alone = self.train(monkeypatch, cpus=2, batch_size=13)
+        assert len(forks) == 1
+        assert threaded[0].losses.tobytes() == alone[0].losses.tobytes() and threaded[1] == alone[1]
+
+    def test_helpers_reaped_after_return(self, monkeypatch, forks):
+        self.train(monkeypatch, cpus=3, steps=1)
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_helpers_reaped_after_divergence(self, monkeypatch, forks):
+        monkeypatch.setattr(train_module, "_usable_cpus", lambda: 2)
+        train_set, _ = gen_dataset(0, n_train=64, n_test=1)
+        model = DecoderModel.build(ModelConfig())
+        model.fusion.pos_embed[:] = 1e200  # overflow on the first forward, in both processes
+        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged, match="step 0"):
+            train_model(model, train_set, None, steps=3, batch_size=13, seed=0)
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("where", ["helper", "main"])
+    def test_exception_in_one_process_reaches_the_caller(self, where, monkeypatch, forks):
+        """An exception in the helper is re-raised in the main process; one in the main process ends the helper."""
+        main_pid, real = os.getpid(), train_module.encode_batch
+
+        def encode_batch(*args, **kwargs):
+            if (os.getpid() == main_pid) == (where == "main"):
+                raise InjectedFailure(f"raised in the {where} process")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(train_module, "encode_batch", encode_batch)
+        with pytest.raises(InjectedFailure, match=f"in the {where} process"):
+            self.train(monkeypatch, cpus=2, steps=2)
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_helper_exits_cleanly_on_eof(self):
+        """Closing the request pipe, as the main process's death does, ends the helper with status 0."""
+        train_set, _ = gen_dataset(0, n_train=8, n_test=1)
+        helper = train_module._Helper(DecoderModel.build(ModelConfig()), train_set, 0, 8, [slice(0, 8)])
+        helper.requests.close()
+        helper.replies.close()
+        _, status = os.waitpid(helper.pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestEvaluate:
