@@ -3,17 +3,18 @@
 Only the fusion tensors move; the base LM stays frozen by construction
 because the update loop iterates over the model's trainable set alone.
 
-A training step splits its batch's tiles (DecoderModel.tiles) into one
-contiguous run per usable CPU, at most one per tile.  The main process
-takes the first run; each other run goes to a helper process that
+With two usable CPUs, a training step splits its batch's tiles
+(DecoderModel.tiles) in two contiguous halves.  The main process takes
+the first ceil(n/2) tiles; the rest go to one helper process that
 `train_model` forks when it starts and reaps when it returns or raises.
-Each step a helper receives the trainable tensors, its samples' indices
-and its tiles; it inherits the frozen base and the dataset through the
-fork, encodes only its own samples and sends back one (loss, grads)
-share per tile.  The main process adds every share in tile order
-(add_shares, as loss_and_grads does), so losses and trained tensors do
-not depend on the number of processes.  Separate processes, unlike
-threads, do not share an interpreter lock.
+Each step the helper receives the trainable tensors, its samples'
+indices and its tiles; it inherits the frozen base and the dataset
+through the fork, encodes only its own samples and sends back one
+(loss, grads) share per tile.  The main process adds every share in
+tile order (add_shares, as loss_and_grads does), so losses and trained
+tensors do not depend on whether the helper runs.  Separate processes,
+unlike threads, do not share an interpreter lock.  The split stops at
+two processes: only two CPUs have been measured.
 """
 
 from __future__ import annotations
@@ -112,12 +113,6 @@ def _usable_cpus() -> int:
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     return len(os.sched_getaffinity(0))
-
-
-def _runs(tiles: list[slice], parts: int) -> list[list[slice]]:
-    """tiles cut into `parts` contiguous runs of near-equal length, the longer first."""
-    cuts = [-(-i * len(tiles) // parts) for i in range(parts + 1)]  # -(-a // b) is ceil(a / b)
-    return [tiles[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 class _Helper:
@@ -226,8 +221,8 @@ def train_model(
     """Optimize the fusion tensors in place; returns the loss trajectory.
 
     Batches are sampled with replacement from a dedicated generator, so
-    the run is a pure function of (model state, dataset, seed), whatever
-    the number of helper processes (module docstring).  A non-finite loss
+    the run is a pure function of (model state, dataset, seed), with or
+    without the helper process (module docstring).  A non-finite loss
     aborts immediately rather than training onward from poisoned
     parameters.
     """
@@ -241,23 +236,26 @@ def train_model(
     losses = np.zeros(steps)
     lrs = np.zeros(steps)
     tiles = model.tiles(batch_size)
-    # fork copies only the calling thread: a lock another thread holds would stay held in a helper
-    processes = min(_usable_cpus(), len(tiles)) if threading.active_count() == 1 else 1
-    own, *runs = _runs(tiles, processes)
-    helpers = []
+    # fork copies only the calling thread, so a lock another Python thread holds would stay held
+    # in the helper.  active_count sees Python threads only; NumPy's OpenBLAS stops its worker
+    # threads in its own pthread_atfork handler and starts them again on its next call.
+    forkable = _usable_cpus() >= 2 and threading.active_count() == 1
+    split = -(-len(tiles) // 2) if forkable else len(tiles)  # -(-a // b) is ceil(a / b)
+    own, rest = tiles[:split], tiles[split:]
+    helper = None
     try:
-        for run in runs:
-            helpers.append(_Helper(model, train_set, encoder_seed, batch_size, run))
+        if rest:
+            helper = _Helper(model, train_set, encoder_seed, batch_size, rest)
         for step in range(steps):
             idx = batch_rng.integers(0, len(train_set), size=batch_size)
-            for helper in helpers:
+            if helper is not None:
                 helper.send(trainable, idx)
             tokens, feats, cls_raw, answers = encode_batch(
                 train_set, idx[: own[-1].stop], cfg.d_in, encoder_seed, scales=cfg.scales, pool=cfg.pool
             )
             loss, grads = add_shares(itertools.chain(
                 model.tile_shares(tokens, feats, cls_raw, answers, own, batch_size),
-                *(helper.shares() for helper in helpers),
+                helper.shares() if helper is not None else (),
             ))
             if not np.isfinite(loss):
                 raise TrainingDiverged(
@@ -273,7 +271,7 @@ def train_model(
             lrs[step] = lr
             del feats, cls_raw  # free this batch before the next is encoded
     finally:
-        for helper in reversed(helpers):  # a later helper holds copies of an earlier one's pipes
+        if helper is not None:
             helper.close()
     accuracy = (
         evaluate(model, test_set, encoder_seed=encoder_seed) if test_set is not None else float("nan")

@@ -7,7 +7,7 @@ import pytest
 
 @pytest.fixture(autouse=True)
 def no_child_process_left():
-    """Fail the test that leaves a child process behind, running or unreaped (train_model's helpers)."""
+    """Fail the test that leaves a child process behind, running or unreaped (train_model's helper)."""
     yield
     try:
         leaked = os.waitpid(-1, os.WNOHANG)

@@ -147,7 +147,7 @@ class InjectedFailure(Exception):
 
 
 class TestHelperProcesses:
-    """train_model splits each step's tiles between the main process and min(CPUs, tiles) - 1 helpers."""
+    """train_model splits each step's tiles between the main process and, with 2+ CPUs and 2+ tiles, one helper."""
 
     @pytest.fixture(autouse=True)
     def deadline(self):
@@ -195,7 +195,7 @@ class TestHelperProcesses:
         for cpus in (1, 2, 3):
             forks.clear()
             runs.append(self.train(monkeypatch, cpus, batch_size=batch_size, **overrides))
-            assert len(forks) == cpus - 1
+            assert len(forks) == min(cpus, 2) - 1  # one helper at most, however many CPUs
         (ref, ref_tensors), *others = runs
         for result, tensors in others:
             assert result.losses.tobytes() == ref.losses.tobytes()
@@ -222,7 +222,7 @@ class TestHelperProcesses:
 
     def test_helpers_reaped_after_return(self, monkeypatch, forks):
         self.train(monkeypatch, cpus=3, steps=1)
-        assert len(forks) == 2
+        assert len(forks) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -253,6 +253,23 @@ class TestHelperProcesses:
         assert len(forks) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the thread count from /proc")
+    def test_fork_sees_no_other_os_thread(self, monkeypatch, forks):
+        """BLAS worker threads included: the process that forks runs one OS thread at that moment."""
+        real_fork, counts = os.fork, []
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                with open("/proc/self/status") as status:
+                    counts.extend(int(line.split()[1]) for line in status if line.startswith("Threads:"))
+            return pid
+
+        np.ones((300, 300)) @ np.ones((300, 300))  # start the BLAS pool, if it has threads
+        monkeypatch.setattr(os, "fork", fork)
+        self.train(monkeypatch, cpus=2, steps=1)
+        assert len(forks) == 1 and counts == [1]
 
     def test_helper_exits_cleanly_on_eof(self):
         """Closing the request pipe, as the main process's death does, ends the helper with status 0."""
