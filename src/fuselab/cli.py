@@ -69,7 +69,7 @@ def _cmd_gradcheck(args) -> int:
         dims = f"blocks={row['n_blocks']} d={row['d_model']} d_in={row['d_in']} r={row['rank']}"
         print(
             f"trial {row['trial']:3d}  {dims:26s} {row['placement']:18s} gamma={row['gamma']:.1f} "
-            f"phi={row['phi']:13s} max_rel_err={row['max_rel_err']:.3e}"
+            f"phi={row['phi']:13s} max_rel_err={row['max_rel_err']:.3e} nonsmooth={row['nonsmooth']}"
         )
     verdict = "PASS" if result["ok"] else "FAIL"
     print(f"gradcheck {verdict}: max rel err {result['max_rel_err']:.3e} (tolerance {result['tolerance']:.0e})")

@@ -411,9 +411,10 @@ def markdown_table(reports) -> str:
 # the gradient check: loss_and_grads against central differences
 
 
-def _answer_loss(model: DecoderModel, tokens, feats, cls_raw, targets) -> float:
-    """Mean cross-entropy at the last position, read off forward's logits."""
-    return float(np.mean(answer_nll(model.forward(tokens, feats, cls_raw)[:, -1, :], targets)))
+def _answer_loss(model: DecoderModel, tokens, feats, cls_raw, targets) -> tuple[float, list]:
+    """Mean cross-entropy at the last position, read off forward's logits, and that call's keep masks."""
+    logits, masks = model.forward(tokens, feats, cls_raw, want_masks=True)
+    return float(np.mean(answer_nll(logits[:, -1, :], targets))), masks
 
 
 def gradcheck_report(seed: int = 0, trials: int = 20, tolerance: float = 1e-4) -> dict:
@@ -427,7 +428,11 @@ def gradcheck_report(seed: int = 0, trials: int = 20, tolerance: float = 1e-4) -
     analytic gradient and at two random entries, and scores the tensor by
     max |gap| / max(|num|, |analytic|) over them.  d_model starts at 4:
     over two features layer norm outputs +-1, so its Jacobian is about 0
-    and finite-difference roundoff swamps the gradients it passes.
+    and finite-difference roundoff swamps the gradients it passes.  Where
+    the keep masks at x +- h differ from those at x, the difference
+    straddles a jump of the top-k selection, not a slope; such an entry
+    counts as `nonsmooth` and is differenced again at h/10, then h/100,
+    until both sides keep the masks of x.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -458,26 +463,33 @@ def gradcheck_report(seed: int = 0, trials: int = 20, tolerance: float = 1e-4) -
             rng.integers(0, cfg.vocab_size, size=2),
         )
         _, grads = model.loss_and_grads(*inputs)
+        masks = _answer_loss(model, *inputs)[1]
 
-        by_tensor = {}
+        by_tensor, nonsmooth = {}, 0
         for name, analytic in grads.items():
             arr = model.trainable_tensors()[name]  # perturbed in place, so forward reads it
             picks = sorted({int(np.argmax(np.abs(analytic))), *rng.integers(0, arr.size, size=2).tolist()})
             numeric = []
             for index in (np.unravel_index(i, arr.shape) for i in picks):
                 keep = arr[index]
-                arr[index] = keep + h
-                up = _answer_loss(model, *inputs)
-                arr[index] = keep - h
-                down = _answer_loss(model, *inputs)
+                for step in (h, h / 10, h / 100):
+                    arr[index] = keep + step
+                    up, up_masks = _answer_loss(model, *inputs)
+                    arr[index] = keep - step
+                    down, down_masks = _answer_loss(model, *inputs)
+                    if all(np.array_equal(a, b) for side in (up_masks, down_masks) for a, b in zip(side, masks)):
+                        break
                 arr[index] = keep
-                numeric.append((up - down) / (2.0 * h))
+                nonsmooth += step != h
+                numeric.append((up - down) / (2.0 * step))
             numeric, sampled = np.array(numeric), analytic.reshape(-1)[picks]
             scale = max(np.max(np.abs(numeric)), np.max(np.abs(sampled)), 1e-12)
             by_tensor[name] = float(np.max(np.abs(numeric - sampled)) / scale)
         rows.append({
             "trial": trial, **dims, "placement": f"{placement.query_from}->{placement.add_to}",
             "gamma": gamma, "phi": phi, "max_rel_err": max(by_tensor.values()), "by_tensor": by_tensor,
+            "nonsmooth": nonsmooth,
         })
     worst = max(r["max_rel_err"] for r in rows)
-    return {"trials": rows, "tolerance": tolerance, "max_rel_err": worst, "ok": bool(worst <= tolerance)}
+    nonsmooth = sum(r["nonsmooth"] for r in rows)
+    return {"trials": rows, "tolerance": tolerance, "max_rel_err": worst, "ok": bool(worst <= tolerance), "nonsmooth": nonsmooth}

@@ -57,7 +57,7 @@ from .fusion import (
     visual_values,
 )
 from .prompt import check_prompt, prompt_rows
-from .tensor import ACTIVATIONS, FLOAT, TILE_BYTES, ShapeError, activation, activation_vjp, load_tensor, sample_tiles, save_tensor, softmax_rows  # noqa: F401 -- TILE_BYTES is re-exported
+from .tensor import ACTIVATIONS, FLOAT, ShapeError, activation, activation_vjp, load_tensor, sample_tiles, save_tensor, softmax_rows
 
 LN_EPS = 1e-5
 

@@ -5,13 +5,15 @@ because the update loop iterates over the model's trainable set alone.
 
 With two usable CPUs, a training step splits its batch's tiles
 (DecoderModel.tiles) in two contiguous halves.  The main process takes
-the first ceil(n/2) tiles; the rest go to one helper process that
-`train_model` forks when it starts and reaps when it returns or raises.
-Each step the helper receives the trainable tensors, its samples'
-indices and its tiles; it inherits the frozen base and the dataset
-through the fork, encodes only its own samples and sends back one
-(loss, grads) share per tile.  The main process adds every share in
-tile order (add_shares, as loss_and_grads does), so losses and trained
+the first ceil(n/2) tiles; the rest go to one helper process, a
+fork-context multiprocessing.Process that `train_model` starts when it
+begins and joins when it returns or raises.  The helper inherits the
+frozen base and the dataset through the fork.  Over one
+multiprocessing.Pipe, each step sends it the trainable tensors, its
+samples' indices and its tiles; it encodes only its own samples and
+replies with its error, or None, and one (loss, grads) share per tile.
+The main process adds its own shares and then the helper's, in tile
+order (add_shares, as loss_and_grads does), so losses and trained
 tensors do not depend on whether the helper runs.  Separate processes,
 unlike threads, do not share an interpreter lock.  The split stops at
 two processes: only two CPUs have been measured.
@@ -19,9 +21,9 @@ two processes: only two CPUs have been measured.
 
 from __future__ import annotations
 
-import itertools
+import multiprocessing
 import os
-import pickle
+import signal
 import threading
 import time
 from dataclasses import dataclass, field
@@ -115,96 +117,27 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-class _Helper:
-    """A forked process that computes the shares of one run of tiles, step after step.
-
-    A request is a pickle (protocol 5 writes arrays without a copy) of
-    the trainable tensors, the run's sample indices and its tiles
-    relative to those samples.  A reply is a pickled None, or the
-    exception the helper raised, and then each tile's share as raw
-    float64: its loss, then its gradients in trainable_tensors() order.
-    The main process reads every share into one buffer allocated per
-    call, so the replies add nothing to its heap.  The helper exits when
-    its request pipe reaches EOF: when `close` closes it, or when the
-    main process dies.
-    """
-
-    def __init__(self, model: DecoderModel, dataset: GridVqaDataset, encoder_seed: int, count: int, run: list[slice]):
-        self.samples = slice(run[0].start, run[-1].stop)
-        self.tiles = [slice(t.start - run[0].start, t.stop - run[0].start) for t in run]
-        trainable = model.trainable_tensors()
-        self.share = np.empty(1 + sum(t.size for t in trainable.values()))
-        self.grads, offset = {}, 1
-        for name, t in trainable.items():
-            self.grads[name] = self.share[offset : offset + t.size].reshape(t.shape)
-            offset += t.size
-        request_r, request_w = os.pipe()
-        reply_r, reply_w = os.pipe()
-        self.pid = os.fork()
-        if self.pid == 0:
-            code = 1
-            try:
-                os.close(request_w)
-                os.close(reply_r)
-                with os.fdopen(request_r, "rb") as requests, os.fdopen(reply_w, "wb") as replies:
-                    _serve(model, dataset, encoder_seed, count, requests, replies)
-                code = 0
-            finally:
-                os._exit(code)  # no atexit handlers or buffers of the main process run here
-        os.close(request_r)
-        os.close(reply_w)
-        self.requests = os.fdopen(request_w, "wb")
-        self.replies = os.fdopen(reply_r, "rb")
-
-    def send(self, trainable: dict, idx: np.ndarray) -> None:
-        pickle.dump((trainable, idx[self.samples], self.tiles), self.requests, pickle.HIGHEST_PROTOCOL)
-        self.requests.flush()
-
-    def shares(self):
-        """The replies to the last request, each read into the same buffer: use a share before taking the next."""
-        lost = RuntimeError(f"training helper {self.pid} exited mid-step")
-        try:
-            error = pickle.load(self.replies)
-        except EOFError:
-            error = lost
-        if error is not None:
-            raise error
-        for _ in self.tiles:
-            if self.replies.readinto(self.share) != self.share.nbytes:
-                raise lost
-            yield float(self.share[0]), self.grads
-
-    def close(self) -> None:
-        """Close both pipes, which ends the helper wherever it is, and reap it."""
-        for pipe in (self.requests, self.replies):
-            try:
-                pipe.close()
-            except OSError:  # the flush of a request the helper never read
-                pass
-        os.waitpid(self.pid, 0)
-
-
-def _serve(model: DecoderModel, dataset: GridVqaDataset, encoder_seed: int, count: int, requests, replies) -> None:
-    """The helper's loop: load the tensors, encode the samples, reply with every tile's share."""
+def _serve(model: DecoderModel, dataset: GridVqaDataset, encoder_seed: int, count: int, conn, main_end) -> None:
+    """The helper's loop: load the tensors, encode the samples, reply with every tile's share; ends at EOF."""
+    main_end.close()  # inherited through the fork; while open here, this loop would never see EOF
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C stops the main process, and its exit ends this loop
     cfg, trainable = model.config, model.trainable_tensors()
     while True:
         try:
-            tensors, idx, tiles = pickle.load(requests)
+            tensors, idx, tiles = conn.recv()
         except EOFError:
             return
-        error, shares = None, []
         try:
             for name, t in tensors.items():
                 trainable[name][...] = t
             batch = encode_batch(dataset, idx, cfg.d_in, encoder_seed, scales=cfg.scales, pool=cfg.pool)
-            for loss, grads in model.tile_shares(*batch, tiles, count):  # all computed before the main process reads
-                shares.append(np.concatenate([[loss], *(grads[name].ravel() for name in trainable)]))
+            reply = None, list(model.tile_shares(*batch, tiles, count))
         except Exception as exc:  # noqa: BLE001 -- re-raised in the main process
-            error, shares = exc, []
-        pickle.dump(error, replies, pickle.HIGHEST_PROTOCOL)
-        for share in shares:
-            replies.write(share)
-        replies.flush()
+            reply = exc, []
+        try:
+            conn.send(reply)
+        except OSError:  # the main process closed its end: it has stopped
+            return
 
 
 def train_model(
@@ -242,21 +175,33 @@ def train_model(
     forkable = _usable_cpus() >= 2 and threading.active_count() == 1
     split = -(-len(tiles) // 2) if forkable else len(tiles)  # -(-a // b) is ceil(a / b)
     own, rest = tiles[:split], tiles[split:]
+    cut = own[-1].stop  # the main process encodes samples [0, cut), the helper the rest
     helper = None
+    if rest:
+        conn, helper_end = multiprocessing.Pipe()
+        helper = multiprocessing.get_context("fork").Process(
+            target=_serve, args=(model, train_set, encoder_seed, batch_size, helper_end, conn)
+        )
+        helper.start()
+        helper_end.close()
+        helper_tiles = [slice(t.start - cut, t.stop - cut) for t in rest]
     try:
-        if rest:
-            helper = _Helper(model, train_set, encoder_seed, batch_size, rest)
         for step in range(steps):
             idx = batch_rng.integers(0, len(train_set), size=batch_size)
             if helper is not None:
-                helper.send(trainable, idx)
+                conn.send((trainable, idx[cut:], helper_tiles))
             tokens, feats, cls_raw, answers = encode_batch(
-                train_set, idx[: own[-1].stop], cfg.d_in, encoder_seed, scales=cfg.scales, pool=cfg.pool
+                train_set, idx[:cut], cfg.d_in, encoder_seed, scales=cfg.scales, pool=cfg.pool
             )
-            loss, grads = add_shares(itertools.chain(
-                model.tile_shares(tokens, feats, cls_raw, answers, own, batch_size),
-                helper.shares() if helper is not None else (),
-            ))
+            loss, grads = add_shares(model.tile_shares(tokens, feats, cls_raw, answers, own, batch_size))
+            if helper is not None:
+                try:
+                    error, shares = conn.recv()
+                except (EOFError, ConnectionResetError):
+                    raise RuntimeError(f"training helper {helper.pid} exited mid-step") from None
+                if error is not None:
+                    raise error
+                loss, grads = add_shares([(loss, grads), *shares])
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"loss became {loss} at step {step} (lr {cosine_lr(step, steps, base_lr):.3e}); "
@@ -272,6 +217,8 @@ def train_model(
             del feats, cls_raw  # free this batch before the next is encoded
     finally:
         if helper is not None:
+            conn.close()  # the helper reads EOF and returns
+            helper.join()
             helper.close()
     accuracy = (
         evaluate(model, test_set, encoder_seed=encoder_seed) if test_set is not None else float("nan")

@@ -249,6 +249,29 @@ class TestGradcheckReport:
         assert all(r["max_rel_err"] > 0.1 for r in result["trials"])
 
 
+    def test_mask_flip_is_not_a_gradient_error(self):
+        """Seed 15, trial 15: a +-1e-5 step at b_cls's largest gradient flips two keep-mask entries."""
+        result = gradcheck_report(seed=15, trials=16)
+        assert result["ok"]
+        assert result["trials"][15]["nonsmooth"] == 1 == result["nonsmooth"]
+
+    def test_catches_a_wrong_gradient_where_a_mask_flips(self, monkeypatch):
+        loss_and_grads = DecoderModel.loss_and_grads
+
+        def wrong_at_largest_b_cls(self, *args):
+            loss, grads = loss_and_grads(self, *args)
+            b_cls = grads["b_cls"].reshape(-1)
+            b_cls[np.argmax(np.abs(b_cls))] *= 1.001
+            return loss, grads
+
+        monkeypatch.setattr(DecoderModel, "loss_and_grads", wrong_at_largest_b_cls)
+        result = gradcheck_report(seed=15, trials=16)
+        flipped = result["trials"][15]
+        assert not result["ok"] and flipped["nonsmooth"] == 1
+        assert flipped["by_tensor"]["b_cls"] > result["tolerance"]
+        assert all(err <= result["tolerance"] for name, err in flipped["by_tensor"].items() if name != "b_cls")
+
+
 class TestReportHelpers:
     def test_loss_decreased(self):
         assert loss_decreased(np.linspace(3.0, 1.0, 50))

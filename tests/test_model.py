@@ -11,7 +11,6 @@ import pytest
 from fuselab.experiment import ExperimentConfig
 from fuselab.model import (
     LEGAL_PLACEMENTS,
-    TILE_BYTES,
     DecoderModel,
     ModelConfig,
     PlacementConfig,
@@ -20,7 +19,7 @@ from fuselab.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from fuselab.tensor import ShapeError
+from fuselab.tensor import TILE_BYTES, ShapeError
 
 from .oracles import fd_grad, grad_rel_err, softmax_row_list
 

@@ -1,5 +1,6 @@
 """Tests for the fusion trainer: schedule, determinism, frozen base, helper processes."""
 
+import multiprocessing
 import os
 import signal
 import threading
@@ -151,28 +152,32 @@ class TestHelperProcesses:
 
     @pytest.fixture(autouse=True)
     def deadline(self):
-        """A helper that never exits would hang train_model's reaping; fail the test instead."""
+        """A helper that never exits would hang train_model's reaping; fail the test and kill the helper instead."""
 
         def expire(signum, frame):
-            raise TimeoutError("test overran its 120 s deadline")
+            pytest.fail("test overran its 120 s deadline")  # not an OSError, which Process.join swallows
 
         previous = signal.signal(signal.SIGALRM, expire)
         signal.alarm(120)
         yield
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+        for child in multiprocessing.active_children():  # one left running would hang the interpreter's exit
+            child.kill()
+            child.join()
 
     @pytest.fixture()
     def forks(self, monkeypatch):
-        """Counts the helpers each train_model call forks."""
-        made = []
+        """Counts the helpers each train_model call forks: the child pids os.fork returns in this process."""
+        made, real_fork = [], os.fork
 
-        class CountedHelper(train_module._Helper):
-            def __init__(self, *args):
-                super().__init__(*args)
-                made.append(self.pid)
+        def fork():
+            pid = real_fork()
+            if pid:
+                made.append(pid)
+            return pid
 
-        monkeypatch.setattr(train_module, "_Helper", CountedHelper)
+        monkeypatch.setattr(os, "fork", fork)
         return made
 
     @staticmethod
@@ -238,8 +243,8 @@ class TestHelperProcesses:
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("where", ["helper", "main"])
-    def test_exception_in_one_process_reaches_the_caller(self, where, monkeypatch, forks):
-        """An exception in the helper is re-raised in the main process; one in the main process ends the helper."""
+    def test_exception_in_one_process_reaches_the_caller(self, where, monkeypatch, forks, capfd):
+        """An exception in the helper is re-raised in the main process; one in the main process ends the helper quietly."""
         main_pid, real = os.getpid(), train_module.encode_batch
 
         def encode_batch(*args, **kwargs):
@@ -253,6 +258,7 @@ class TestHelperProcesses:
         assert len(forks) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+        assert "Traceback" not in capfd.readouterr().err  # the helper's reply to a closed pipe is not an error
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the thread count from /proc")
     def test_fork_sees_no_other_os_thread(self, monkeypatch, forks):
@@ -271,14 +277,55 @@ class TestHelperProcesses:
         self.train(monkeypatch, cpus=2, steps=1)
         assert len(forks) == 1 and counts == [1]
 
-    def test_helper_exits_cleanly_on_eof(self):
-        """Closing the request pipe, as the main process's death does, ends the helper with status 0."""
+    def test_helper_death_mid_step_is_a_runtime_error(self, monkeypatch, forks):
+        main_pid, real = os.getpid(), train_module.encode_batch
+
+        def encode_batch(*args, **kwargs):
+            if os.getpid() != main_pid:
+                os._exit(3)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(train_module, "encode_batch", encode_batch)
+        with pytest.raises(RuntimeError, match=r"training helper \d+ exited mid-step") as raised:
+            self.train(monkeypatch, cpus=2, steps=2)
+        assert forks and str(raised.value) == f"training helper {forks[0]} exited mid-step"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors from /proc")
+    def test_no_descriptor_left_open(self, monkeypatch, forks):
+        """After a return, and after a raise in the main process while the helper still works."""
+        before = sorted(os.listdir("/proc/self/fd"))
+        self.train(monkeypatch, cpus=2, steps=1)
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        main_pid, real = os.getpid(), train_module.encode_batch
+
+        def encode_batch(*args, **kwargs):
+            if os.getpid() == main_pid:
+                raise InjectedFailure("raised in the main process")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(train_module, "encode_batch", encode_batch)
+        with pytest.raises(InjectedFailure) as raised:
+            self.train(monkeypatch, cpus=2, steps=1)
+        # raised holds the traceback, so train_model's locals stay alive: only what it closed is closed
+        assert isinstance(raised.value, InjectedFailure) and sorted(os.listdir("/proc/self/fd")) == before
+        assert len(forks) == 2
+
+    def test_closing_the_main_end_ends_the_helper(self):
+        """Closing the main end, as the main process's death does, ends the helper with exit code 0."""
         train_set, _ = gen_dataset(0, n_train=8, n_test=1)
-        helper = train_module._Helper(DecoderModel.build(ModelConfig()), train_set, 0, 8, [slice(0, 8)])
-        helper.requests.close()
-        helper.replies.close()
-        _, status = os.waitpid(helper.pid, 0)
-        assert os.waitstatus_to_exitcode(status) == 0
+        conn, helper_end = multiprocessing.Pipe()
+        helper = multiprocessing.get_context("fork").Process(
+            target=train_module._serve,
+            args=(DecoderModel.build(ModelConfig()), train_set, 0, 8, helper_end, conn),
+        )
+        helper.start()
+        helper_end.close()
+        conn.close()
+        helper.join(timeout=60)
+        assert not helper.is_alive() and helper.exitcode == 0
+        helper.close()
 
 
 class TestEvaluate:
