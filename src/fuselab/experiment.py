@@ -27,6 +27,7 @@ from .tensor import ACTIVATIONS
 from .train import BASE_LR, KEY_GAIN, align_visual_keys, train_model
 
 HEATMAP_SAMPLES = 256
+GRADCHECK_TOL = 1e-4  # the largest relative gradient error gradcheck_report passes
 
 
 # every ModelConfig field but vocab_size, which a run derives from its channels
@@ -252,8 +253,8 @@ class RunReport:
             "error": self.error,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def loss_decreased(losses) -> bool:
@@ -417,7 +418,7 @@ def _answer_loss(model: DecoderModel, tokens, feats, cls_raw, targets) -> tuple[
     return float(np.mean(answer_nll(logits[:, -1, :], targets))), masks
 
 
-def gradcheck_report(seed: int = 0, trials: int = 20, tolerance: float = 1e-4) -> dict:
+def gradcheck_report(seed: int = 0, trials: int = 20) -> dict:
     """DecoderModel.loss_and_grads against central differences on tiny models.
 
     Each trial builds a model with one or two blocks over a 16-row prompt
@@ -492,4 +493,4 @@ def gradcheck_report(seed: int = 0, trials: int = 20, tolerance: float = 1e-4) -
         })
     worst = max(r["max_rel_err"] for r in rows)
     nonsmooth = sum(r["nonsmooth"] for r in rows)
-    return {"trials": rows, "tolerance": tolerance, "max_rel_err": worst, "ok": bool(worst <= tolerance), "nonsmooth": nonsmooth}
+    return {"trials": rows, "tolerance": GRADCHECK_TOL, "max_rel_err": worst, "ok": bool(worst <= GRADCHECK_TOL), "nonsmooth": nonsmooth}

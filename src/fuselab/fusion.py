@@ -66,10 +66,10 @@ class StandardXAttnParams:
             raise ValueError(f"d_k must be positive, got {self.d_k}")
 
     @classmethod
-    def random(cls, rng: np.random.Generator, d: int, d_k: int | None = None):
+    def random(cls, rng: np.random.Generator, d: int):
         std = 1.0 / np.sqrt(d)
         mats = [rng.normal(0.0, std, size=(d, d)) for _ in range(4)]
-        return cls(*mats, d_k=d_k if d_k is not None else d)
+        return cls(*mats, d_k=d)
 
 
 @dataclass

@@ -124,6 +124,8 @@ class FlatConfig:
 
     @classmethod
     def from_dict(cls, d: dict):
+        if not isinstance(d, dict):
+            raise ValueError(f"a config must be a JSON object, got {d!r}")
         known = {f.name for f in fields(cls)}
         unknown = set(d) - known
         if unknown:
@@ -538,18 +540,13 @@ class DecoderModel:
 
         Every legal placement reads its query before the block's first
         injection point, so this value never depends on the visual rows;
-        it is what the site will compare keys against.
+        it is what the site will compare keys against.  One zero row
+        stands in for the visual rows: adaptive_mask cannot mask none.
         """
         x, _ = self._input_stream(tokens, cls_raw)
-        q_from = self.config.placement.query_from
-        blk = self.blocks[0]
-        for p_in, p_out, ln, forward, _ in SUBLAYERS:
-            if p_in == q_from:
-                return x
-            branch, _ = forward(_ln_forward(x, getattr(blk, f"{ln}_g"), getattr(blk, f"{ln}_b"))[0], blk)
-            if p_out == q_from:
-                return branch
-            x = x + branch
+        zero = np.zeros((len(x), 1, self.config.d_model))
+        _, (_, site) = _block_forward(x, self.blocks[0], (zero, zero), self.config)
+        return site.queries
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +592,8 @@ def load_checkpoint(directory):
     """
     directory = Path(directory)
     manifest = json.loads((directory / MANIFEST_NAME).read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"checkpoint manifest must be a JSON object, got {type(manifest).__name__}")
     version = manifest.get("format", 1)
     if version != CHECKPOINT_FORMAT:
         raise ValueError(f"checkpoint format {version!r} cannot be read; this version reads format {CHECKPOINT_FORMAT}")
@@ -605,6 +604,8 @@ def load_checkpoint(directory):
     if missing:
         raise ValueError(f"checkpoint lacks model tensors {missing}")
     for name, entry in manifest["tensors"].items():
+        if not isinstance(entry, dict):
+            raise ValueError(f"checkpoint tensor {name!r} must be listed as a JSON object, got {entry!r}")
         loaded = load_tensor(directory / entry["file"])
         if name not in tensors:
             raise ValueError(f"checkpoint tensor {name!r} has no slot in the model")

@@ -8,25 +8,26 @@ With two usable CPUs, a training step splits its batch's tiles
 the first ceil(n/2) tiles; the rest go to one helper process, a
 fork-context multiprocessing.Process that `train_model` starts when it
 begins and joins when it returns or raises.  The helper inherits the
-frozen base and the dataset through the fork.  Over one
-multiprocessing.Pipe, each step sends it the trainable tensors, its
-samples' indices and its tiles; it encodes only its own samples and
-replies with its error, or None, and one (loss, grads) share per tile.
-The main process adds its own shares and then the helper's, in tile
-order (add_shares, as loss_and_grads does), so losses and trained
-tensors do not depend on whether the helper runs.  Separate processes,
-unlike threads, do not share an interpreter lock.  The split stops at
-two processes: only two CPUs have been measured.
+frozen base, the dataset and its tiles through the fork.  Over one
+multiprocessing.Pipe, each step sends it the trainable tensors and its
+samples' indices; it replies with its error, or None, and one
+(loss, grads) share per tile.  Both processes compute their shares with
+one step function, `_shares`, which encodes only that process's
+samples.  The main process adds its own shares and then the helper's,
+in tile order (add_shares, as loss_and_grads does), so losses and
+trained tensors do not depend on whether the helper runs.  Separate
+processes, unlike threads, do not share an interpreter lock.  The split
+stops at two processes: only two CPUs have been measured.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import ctypes
 import os
 import signal
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +40,7 @@ MOMENTUM = 0.9
 KEY_GAIN = 0.5
 
 
-def align_visual_keys(model: DecoderModel, *, channels: int, encoder_seed: int | None = None, gain: float = KEY_GAIN) -> DecoderModel:
+def align_visual_keys(model: DecoderModel, *, channels: int, gain: float = KEY_GAIN) -> DecoderModel:
     """Rewrite the visual rows so their keys mirror the model's own query states.
 
     The frozen base maps every possible question to fixed query vectors at
@@ -52,15 +53,13 @@ def align_visual_keys(model: DecoderModel, *, channels: int, encoder_seed: int |
     frozen weights and encoder constants, never an image or an answer.
     """
     cfg = model.config
-    if encoder_seed is None:
-        encoder_seed = cfg.seed
     if vocab_size(channels) != cfg.vocab_size:
         raise ValueError(
             f"{channels} colors imply vocab {vocab_size(channels)}, model has {cfg.vocab_size}"
         )
     rows, cols = np.divmod(np.arange(GRID * GRID), GRID)
     tokens = question_tokens(rows, cols, channels)
-    cls_raw = np.repeat(expected_cls(channels, cfg.d_in, encoder_seed)[None], GRID * GRID, axis=0)
+    cls_raw = np.repeat(expected_cls(channels, cfg.d_in, cfg.seed)[None], GRID * GRID, axis=0)
     tap = model.query_tap(tokens, cls_raw)
     question_taps = tap[:, 1:, :]  # both question positions, cls position excluded
     centered = (question_taps - question_taps.mean(axis=0, keepdims=True)).sum(axis=1)
@@ -85,9 +84,7 @@ def cosine_lr(step: int, total_steps: int, base_lr: float = BASE_LR) -> float:
 class TrainResult:
     losses: np.ndarray  # per-step training loss
     final_accuracy: float
-    steps: int
     wall_clock_s: float
-    lr_curve: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 def evaluate(
@@ -117,27 +114,53 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _serve(model: DecoderModel, dataset: GridVqaDataset, encoder_seed: int, count: int, conn, main_end) -> None:
-    """The helper's loop: load the tensors, encode the samples, reply with every tile's share; ends at EOF."""
+def _pin_heap() -> None:
+    """Fix glibc's mmap and trim thresholds, for the whole process; a no-op where libc has no mallopt.
+
+    glibc's own thresholds move as large blocks are freed, and it returns
+    the heap top whenever no live block pins it, so whether a step
+    page-faulted its freed arrays back in hung on unrelated allocations.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD (malloc.h): blocks up to 32 MiB come from the heap
+        mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD: up to 256 MiB of free heap top stays mapped
+
+
+def _shares(model: DecoderModel, dataset: GridVqaDataset, idx, tiles, count: int):
+    """Each tile's (loss, grads) share of the samples idx, in order: the step of either process.
+
+    Encodes idx with the model's config and its seed as the encoder seed;
+    count is the whole step's batch size (DecoderModel.tile_shares).  The
+    batch is freed once the last share has been yielded.
+    """
+    cfg = model.config
+    batch = encode_batch(dataset, idx, cfg.d_in, cfg.seed, scales=cfg.scales, pool=cfg.pool)
+    yield from model.tile_shares(*batch, tiles, count)
+
+
+def _serve(model: DecoderModel, dataset: GridVqaDataset, tiles, count: int, conn, main_end) -> None:
+    """The helper's loop: load the tensors, reply with every tile's share of the samples; ends at EOF."""
     main_end.close()  # inherited through the fork; while open here, this loop would never see EOF
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C stops the main process, and its exit ends this loop
-    cfg, trainable = model.config, model.trainable_tensors()
+    trainable = model.trainable_tensors()
     while True:
         try:
-            tensors, idx, tiles = conn.recv()
+            tensors, idx = conn.recv()
         except EOFError:
             return
         try:
             for name, t in tensors.items():
                 trainable[name][...] = t
-            batch = encode_batch(dataset, idx, cfg.d_in, encoder_seed, scales=cfg.scales, pool=cfg.pool)
-            reply = None, list(model.tile_shares(*batch, tiles, count))
+            reply = None, list(_shares(model, dataset, idx, tiles, count))
         except Exception as exc:  # noqa: BLE001 -- re-raised in the main process
             reply = exc, []
         try:
             conn.send(reply)
         except OSError:  # the main process closed its end: it has stopped
             return
+        del reply  # free the shares before the next batch is encoded
 
 
 def train_model(
@@ -148,26 +171,23 @@ def train_model(
     steps: int = 2000,
     batch_size: int = 64,
     seed: int = 0,
-    encoder_seed: int | None = None,
     base_lr: float = BASE_LR,
 ) -> TrainResult:
     """Optimize the fusion tensors in place; returns the loss trajectory.
 
-    Batches are sampled with replacement from a dedicated generator, so
-    the run is a pure function of (model state, dataset, seed), with or
-    without the helper process (module docstring).  A non-finite loss
-    aborts immediately rather than training onward from poisoned
-    parameters.
+    Batches are sampled with replacement from a dedicated generator and
+    encoded with the model config's seed, so the run is a pure function
+    of (model state, dataset, seed), with or without the helper process
+    (module docstring).  A non-finite loss aborts immediately rather than
+    training onward from poisoned parameters.  The call first pins the
+    allocator's thresholds (_pin_heap), for the whole process.
     """
     t0 = time.perf_counter()
-    cfg = model.config
-    if encoder_seed is None:
-        encoder_seed = cfg.seed
+    _pin_heap()
     batch_rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB47C)))
     trainable = model.trainable_tensors()
     velocity = {name: np.zeros_like(t) for name, t in trainable.items()}
     losses = np.zeros(steps)
-    lrs = np.zeros(steps)
     tiles = model.tiles(batch_size)
     # fork copies only the calling thread, so a lock another Python thread holds would stay held
     # in the helper.  active_count sees Python threads only; NumPy's OpenBLAS stops its worker
@@ -178,22 +198,21 @@ def train_model(
     cut = own[-1].stop  # the main process encodes samples [0, cut), the helper the rest
     helper = None
     if rest:
+        import multiprocessing  # here, so that a process that never starts the helper never pays for the import
+
         conn, helper_end = multiprocessing.Pipe()
+        helper_tiles = [slice(t.start - cut, t.stop - cut) for t in rest]
         helper = multiprocessing.get_context("fork").Process(
-            target=_serve, args=(model, train_set, encoder_seed, batch_size, helper_end, conn)
+            target=_serve, args=(model, train_set, helper_tiles, batch_size, helper_end, conn)
         )
         helper.start()
         helper_end.close()
-        helper_tiles = [slice(t.start - cut, t.stop - cut) for t in rest]
     try:
         for step in range(steps):
             idx = batch_rng.integers(0, len(train_set), size=batch_size)
             if helper is not None:
-                conn.send((trainable, idx[cut:], helper_tiles))
-            tokens, feats, cls_raw, answers = encode_batch(
-                train_set, idx[:cut], cfg.d_in, encoder_seed, scales=cfg.scales, pool=cfg.pool
-            )
-            loss, grads = add_shares(model.tile_shares(tokens, feats, cls_raw, answers, own, batch_size))
+                conn.send((trainable, idx[cut:]))
+            loss, grads = add_shares(_shares(model, train_set, idx[:cut], own, batch_size))
             if helper is not None:
                 try:
                     error, shares = conn.recv()
@@ -202,31 +221,20 @@ def train_model(
                 if error is not None:
                     raise error
                 loss, grads = add_shares([(loss, grads), *shares])
+            lr = cosine_lr(step, steps, base_lr)
             if not np.isfinite(loss):
                 raise TrainingDiverged(
-                    f"loss became {loss} at step {step} (lr {cosine_lr(step, steps, base_lr):.3e}); "
-                    "try a smaller learning rate or pos_scale"
+                    f"loss became {loss} at step {step} (lr {lr:.3e}); try a smaller learning rate or pos_scale"
                 )
-            lr = cosine_lr(step, steps, base_lr)
             for name, grad in grads.items():
                 velocity[name] *= MOMENTUM
                 velocity[name] -= lr * grad
                 trainable[name] += velocity[name]
             losses[step] = loss
-            lrs[step] = lr
-            del feats, cls_raw  # free this batch before the next is encoded
     finally:
         if helper is not None:
             conn.close()  # the helper reads EOF and returns
             helper.join()
             helper.close()
-    accuracy = (
-        evaluate(model, test_set, encoder_seed=encoder_seed) if test_set is not None else float("nan")
-    )
-    return TrainResult(
-        losses=losses,
-        final_accuracy=accuracy,
-        steps=steps,
-        wall_clock_s=time.perf_counter() - t0,
-        lr_curve=lrs,
-    )
+    accuracy = evaluate(model, test_set, encoder_seed=model.config.seed) if test_set is not None else float("nan")
+    return TrainResult(losses=losses, final_accuracy=accuracy, wall_clock_s=time.perf_counter() - t0)

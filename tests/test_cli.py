@@ -143,9 +143,14 @@ class TestTrainCommand:
         assert err["message"].startswith(f"{name} must ")
         assert not out_dir.exists()
 
-    def test_missing_config_file(self, capsys):
-        assert main(["train", "--config", "/no/such/file.json"]) == 1
-        assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
+    @pytest.mark.parametrize("text, error", [(None, "FileNotFoundError"), ("5", "ValueError"), ("null", "ValueError")],
+                             ids=["missing", "number", "null"])
+    def test_unreadable_config_file_structured_error(self, text, error, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text)
+        assert main(["train", "--config", str(path)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == error
 
 
 class TestAblateCommand:
@@ -236,15 +241,19 @@ class TestHeatmapCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError" and "run config" in err["message"]
 
-    def test_unknown_manifest_config_key_structured_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: {**m, "config": {**m["config"], "n_heads": 4}}, "n_heads"),
+        (lambda m: [m], "manifest must be a JSON object"),
+        (lambda m: {**m, "config": 5}, "config must be a JSON object"),
+        (lambda m: {**m, "tensors": {**m["tensors"], "embed": "embed.admt"}}, "'embed' must be listed as a JSON object"),
+    ], ids=["unknown-config-key", "list", "numeric-config", "string-tensor-entry"])
+    def test_malformed_manifest_structured_error(self, edit, message, tmp_path, capsys):
         save_checkpoint(tmp_path / "ck", DecoderModel.build(ModelConfig()))
         mpath = tmp_path / "ck" / "manifest.json"
-        manifest = json.loads(mpath.read_text())
-        manifest["config"]["n_heads"] = 4
-        mpath.write_text(json.dumps(manifest))
+        mpath.write_text(json.dumps(edit(json.loads(mpath.read_text()))))
         assert main(["heatmap", "--checkpoint", str(tmp_path / "ck")]) == 1
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ValueError" and "n_heads" in err["message"]
+        assert err["error"] == "ValueError" and message in err["message"]
 
     def test_missing_checkpoint_structured_error(self, capsys):
         assert main(["heatmap", "--checkpoint", "/no/such/ckpt"]) == 1

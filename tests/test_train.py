@@ -2,9 +2,14 @@
 
 import multiprocessing
 import os
+import platform
+import resource
 import signal
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,10 +77,7 @@ class TestTrainLoop:
         result = train_model(model, train_set, test_set, steps=12, batch_size=8, seed=0)
         assert result.losses.shape == (12,)
         assert np.all(np.isfinite(result.losses))
-        assert result.steps == 12
         assert result.wall_clock_s > 0
-        expected_lrs = [cosine_lr(s, 12) for s in range(12)]
-        np.testing.assert_allclose(result.lr_curve, expected_lrs, rtol=0, atol=0)
         assert 0.0 <= result.final_accuracy <= 1.0
 
     def test_no_test_set_skips_eval(self, small_data):
@@ -125,14 +127,22 @@ class TestTrainLoop:
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged, match="step 0"):
             train_model(model, train_set, None, steps=5, batch_size=4, seed=0)
 
-    def test_encoder_seed_defaults_to_config_seed(self, small_data):
-        train_set, _ = small_data
-        losses = []
-        for kwargs in ({}, {"encoder_seed": 1}):  # config seed is 1
-            model = DecoderModel.build(small_config())
-            result = train_model(model, train_set, None, steps=5, batch_size=4, seed=0, **kwargs)
-            losses.append(result.losses)
-        np.testing.assert_array_equal(losses[0], losses[1])
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc thresholds")
+    def test_warm_call_faults_no_page_back_in(self, monkeypatch):
+        """train_model pins the allocator, so a warm call reuses the heap pages its last call freed.
+
+        One process, at the acceptance gate's small config: without the
+        pin, whether glibc returned the heap top between steps hung on
+        heap layout, and a call took up to about 18,000 minor faults.
+        """
+        monkeypatch.setattr(train_module, "_usable_cpus", lambda: 1)
+        config = ExperimentConfig(d_model=32, d_in=16, rank=4, n_train=512, n_test=128, batch_size=32)
+        train_set, _ = gen_dataset(0, n_train=config.n_train, n_test=1)
+        model = DecoderModel.build(config.model_config())
+        train_model(model, train_set, None, steps=20, batch_size=config.batch_size, seed=0)  # warm
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        train_model(model, train_set, None, steps=20, batch_size=config.batch_size, seed=0)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
     def test_loss_decreases_over_short_run(self, small_data):
         train_set, _ = small_data
@@ -312,13 +322,20 @@ class TestHelperProcesses:
         assert isinstance(raised.value, InjectedFailure) and sorted(os.listdir("/proc/self/fd")) == before
         assert len(forks) == 2
 
+    def test_importing_the_cli_does_not_import_multiprocessing(self):
+        """Only a train_model call that starts the helper imports it."""
+        src = Path(train_module.__file__).parents[1]
+        code = f"import sys; sys.path.insert(0, {str(src)!r}); import fuselab.cli; print('multiprocessing' in sys.modules)"
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True)
+        assert run.stdout.strip() == "False"
+
     def test_closing_the_main_end_ends_the_helper(self):
         """Closing the main end, as the main process's death does, ends the helper with exit code 0."""
         train_set, _ = gen_dataset(0, n_train=8, n_test=1)
+        model = DecoderModel.build(ModelConfig())
         conn, helper_end = multiprocessing.Pipe()
         helper = multiprocessing.get_context("fork").Process(
-            target=train_module._serve,
-            args=(DecoderModel.build(ModelConfig()), train_set, 0, 8, helper_end, conn),
+            target=train_module._serve, args=(model, train_set, model.tiles(8), 8, helper_end, conn)
         )
         helper.start()
         helper_end.close()
@@ -397,6 +414,25 @@ class TestTextOnly:
             assert mask.tobytes() == ref.tobytes()
 
 
+class StubConnection:
+    """The training helper's end of the pipe: the given requests, then EOFError; every reply is dropped."""
+
+    def __init__(self, requests):
+        self.requests = iter(requests)
+
+    def recv(self):
+        try:
+            return next(self.requests)
+        except StopIteration:
+            raise EOFError from None
+
+    def send(self, reply):
+        pass
+
+    def close(self):
+        pass
+
+
 class TestBatchMemory:
     """Traced peaks of the batch loops, in units of one batch's (B, N, d_in) prompt array.
 
@@ -405,7 +441,9 @@ class TestBatchMemory:
     tile's model arrays.  Measured over 4 batches of 64 at the default
     config: evaluate 1.60 and drop_heatmap 1.77.  Holding the previous
     batch while encoding the next, with a whole-batch encoder, read 3.01
-    and 3.35.
+    and 3.35.  The training helper also holds one tile's backward arrays
+    and its shares until it has sent them: 2.27, against 2.88 when it held
+    its previous batch and reply while encoding the next.
     """
 
     @staticmethod
@@ -428,6 +466,17 @@ class TestBatchMemory:
 
     def test_drop_heatmap(self):
         assert self.peak_units(lambda m, data: drop_heatmap(m, data, n_samples=256, batch_size=64)) <= 2.0
+
+    def test_training_helper(self):
+        def serve(model, data):
+            requests = [(model.trainable_tensors(), np.arange(start, start + 64)) for start in range(0, 256, 64)]
+            train_module._serve(model, data, model.tiles(64), 64, StubConnection(requests), StubConnection([]))
+
+        previous = signal.getsignal(signal.SIGINT)  # _serve ignores SIGINT
+        try:
+            assert self.peak_units(serve) <= 2.5
+        finally:
+            signal.signal(signal.SIGINT, previous)
 
 
 class TestAlignVisualKeys:
