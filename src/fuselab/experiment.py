@@ -24,7 +24,7 @@ from .fusion import drop_count
 from .model import DecoderModel, FlatConfig, ModelConfig, answer_nll, legal_placements, save_checkpoint
 from .prompt import GRID, scale_layout
 from .tensor import ACTIVATIONS
-from .train import BASE_LR, KEY_GAIN, align_visual_keys, train_model
+from .train import BASE_LR, KEY_GAIN, _batch_sums, align_visual_keys, train_model
 
 HEATMAP_SAMPLES = 256
 GRADCHECK_TOL = 1e-4  # the largest relative gradient error gradcheck_report passes
@@ -142,6 +142,29 @@ class HeatmapReport:
                 (Path(out_dir) / f"heatmap_scale{scale}{suffix}.csv").write_text(heatmap_csv(grid))
 
 
+def _heatmap_counts(model: DecoderModel, dataset: GridVqaDataset, batches, encoder_seed: int):
+    """(kept count per visual row, queried cells in their sample's top decile, text positions x blocks x samples)."""
+    cfg = model.config
+    fine = scale_layout(cfg.scales).get(1)  # the scale-1 rows, one per grid cell
+    decile_rank = int(np.ceil(0.1 * GRID * GRID))
+    row_counts = np.zeros(cfg.n_rows, dtype=np.int64)
+    top_decile_hits = denominator = 0
+    for idx in batches:
+        tokens, feats, cls_raw, _ = encode_batch(dataset, idx, cfg.d_in, encoder_seed, scales=cfg.scales, pool=cfg.pool)
+        _, masks = model.forward(tokens, feats, cls_raw, want_masks=True)
+        kept = np.stack([m[:, 1:, :] for m in masks])  # (blocks, B, text, N)
+        denominator += kept[..., 0].size
+        row_counts += kept.sum(axis=(0, 1, 2)).astype(np.int64)
+        if fine is not None:
+            per_sample = kept.sum(axis=(0, 2))[:, fine]
+            cells = dataset.queries[idx, 0] * GRID + dataset.queries[idx, 1]
+            own = per_sample[np.arange(len(idx)), cells]
+            rank = np.sum(per_sample > own[:, None], axis=1)  # rows strictly ahead
+            top_decile_hits += int(np.sum(rank < decile_rank))
+        del feats, cls_raw, masks, kept  # free this batch before the next is encoded
+    return row_counts, top_decile_hits, denominator
+
+
 def drop_heatmap(
     model: DecoderModel,
     dataset: GridVqaDataset,
@@ -154,7 +177,8 @@ def drop_heatmap(
 
     Only genuine text positions count as queries -- the prepended global
     row is excluded.  With gamma = 0 nothing is ever dropped; that
-    degenerate all-ones result is reported with a warning.
+    degenerate all-ones result is reported with a warning.  The batches
+    may split between two processes (train._batch_sums).
     """
     cfg = model.config
     if encoder_seed is None:
@@ -164,31 +188,8 @@ def drop_heatmap(
     n_samples = min(n_samples, len(dataset))
     if n_samples < 1:
         raise ValueError(f"heatmap needs at least one sample, got {n_samples}")
+    row_counts, top_decile_hits, denominator = _batch_sums(_heatmap_counts, model, dataset, n_samples, batch_size, encoder_seed)
     layout = scale_layout(cfg.scales)
-    fine = layout.get(1)  # the scale-1 rows, one per grid cell
-    row_counts = np.zeros(cfg.n_rows, dtype=np.int64)
-    top_decile_hits = 0
-    decile_rank = int(np.ceil(0.1 * GRID * GRID))
-    text_positions = blocks = 0
-
-    for start in range(0, n_samples, batch_size):
-        idx = np.arange(start, min(start + batch_size, n_samples))
-        tokens, feats, cls_raw, _ = encode_batch(
-            dataset, idx, cfg.d_in, encoder_seed, scales=cfg.scales, pool=cfg.pool
-        )
-        _, masks = model.forward(tokens, feats, cls_raw, want_masks=True)
-        kept = np.stack([m[:, 1:, :] for m in masks])  # (blocks, B, text, N)
-        blocks, _, text_positions, _ = kept.shape
-        row_counts += kept.sum(axis=(0, 1, 2)).astype(np.int64)
-        if fine is not None:
-            per_sample = kept.sum(axis=(0, 2))[:, fine]
-            cells = dataset.queries[idx, 0] * GRID + dataset.queries[idx, 1]
-            own = per_sample[np.arange(len(idx)), cells]
-            rank = np.sum(per_sample > own[:, None], axis=1)  # rows strictly ahead
-            top_decile_hits += int(np.sum(rank < decile_rank))
-        del feats, cls_raw, masks, kept  # free this batch before the next is encoded
-
-    denominator = text_positions * blocks * n_samples
     freq = row_counts / denominator
     counts_by_scale, freq_by_scale, norm_by_scale = {}, {}, {}
     for s, rows in layout.items():
@@ -205,7 +206,7 @@ def drop_heatmap(
         freq=freq_by_scale,
         normalized=norm_by_scale,
         mean_freq=float(freq.mean()),
-        queried_top_decile_rate=(top_decile_hits / n_samples) if fine is not None else None,
+        queried_top_decile_rate=(top_decile_hits / n_samples) if 1 in layout else None,
     )
 
 

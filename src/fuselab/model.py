@@ -39,6 +39,7 @@ and gradients change order.
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
 from dataclasses import dataclass, field, fields
@@ -241,9 +242,14 @@ def _ln_forward(x, gain, bias):
 def _ln_backward(d_out, cache, gain):
     xhat, inv = cache
     d_xhat = d_out * gain
-    mean1 = d_xhat.mean(axis=-1, keepdims=True)
-    mean2 = np.mean(d_xhat * xhat, axis=-1, keepdims=True)
+    mean1 = d_xhat.sum(axis=-1, keepdims=True) / d_xhat.shape[-1]  # sum / d, as in _ln_forward
+    mean2 = (d_xhat * xhat).sum(axis=-1, keepdims=True) / d_xhat.shape[-1]
     return inv * (d_xhat - mean1 - xhat * mean2)
+
+
+@functools.cache
+def _causal(s: int) -> np.ndarray:
+    return np.broadcast_to(np.tri(s, dtype=bool), (s, s))  # once per sequence length; a read-only view, as it is shared
 
 
 def _attn_forward(n1, blk):
@@ -252,9 +258,7 @@ def _attn_forward(n1, blk):
     k = n1 @ blk.w_k
     v = n1 @ blk.w_v
     logits = (q @ k.swapaxes(1, 2)) / np.sqrt(FLOAT(d))
-    s = n1.shape[1]
-    causal = np.tril(np.ones((s, s), dtype=bool))
-    weights, _ = activation(np.where(causal, logits, -np.inf), "softmax_rows")
+    weights, _ = activation(np.where(_causal(n1.shape[1]), logits, -np.inf), "softmax_rows")
     ctx = weights @ v
     return ctx @ blk.w_o, (q, k, v, weights)
 
@@ -597,6 +601,10 @@ def load_checkpoint(directory):
     version = manifest.get("format", 1)
     if version != CHECKPOINT_FORMAT:
         raise ValueError(f"checkpoint format {version!r} cannot be read; this version reads format {CHECKPOINT_FORMAT}")
+    for key, kind in (("config", dict), ("step", int), ("metrics", dict), ("tensors", dict)):
+        if type(manifest.get(key)) is not kind:  # type, not isinstance: a JSON true is no step
+            got = repr(manifest[key]) if key in manifest else "nothing"
+            raise ValueError(f"checkpoint {key} must be a JSON {'integer' if kind is int else 'object'}, got {got}")
     config = ModelConfig.from_dict(manifest["config"])
     model = DecoderModel.build(config)
     tensors = _all_tensors(model)
@@ -604,8 +612,8 @@ def load_checkpoint(directory):
     if missing:
         raise ValueError(f"checkpoint lacks model tensors {missing}")
     for name, entry in manifest["tensors"].items():
-        if not isinstance(entry, dict):
-            raise ValueError(f"checkpoint tensor {name!r} must be listed as a JSON object, got {entry!r}")
+        if not (isinstance(entry, dict) and isinstance(entry.get("file"), str)):
+            raise ValueError(f"checkpoint tensor {name!r} must be listed as a JSON object with a string \"file\", got {entry!r}")
         loaded = load_tensor(directory / entry["file"])
         if name not in tensors:
             raise ValueError(f"checkpoint tensor {name!r} has no slot in the model")

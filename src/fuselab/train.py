@@ -4,20 +4,18 @@ Only the fusion tensors move; the base LM stays frozen by construction
 because the update loop iterates over the model's trainable set alone.
 
 With two usable CPUs, a training step splits its batch's tiles
-(DecoderModel.tiles) in two contiguous halves.  The main process takes
-the first ceil(n/2) tiles; the rest go to one helper process, a
-fork-context multiprocessing.Process that `train_model` starts when it
-begins and joins when it returns or raises.  The helper inherits the
-frozen base, the dataset and its tiles through the fork.  Over one
-multiprocessing.Pipe, each step sends it the trainable tensors and its
-samples' indices; it replies with its error, or None, and one
-(loss, grads) share per tile.  Both processes compute their shares with
-one step function, `_shares`, which encodes only that process's
-samples.  The main process adds its own shares and then the helper's,
-in tile order (add_shares, as loss_and_grads does), so losses and
-trained tensors do not depend on whether the helper runs.  Separate
-processes, unlike threads, do not share an interpreter lock.  The split
-stops at two processes: only two CPUs have been measured.
+(DecoderModel.tiles), and `evaluate` and `experiment.drop_heatmap` their
+batches, in two contiguous halves (_halves).  The main process takes the
+first ceil(n/2); one helper process (_Helper), forked when the call
+begins and joined when it returns or raises, takes the rest.  It
+inherits the model and the dataset through the fork, and over one
+multiprocessing.Pipe runs each request fn(model, dataset, *args) for a
+module-level fn.  A training step sends the trainable tensors and its
+samples' indices; the main process adds its own (loss, grads) shares,
+then the helper's, in tile order (add_shares, as loss_and_grads does).
+Forward passes sum integer counts.  So no output depends on whether the
+helper runs.  Processes, unlike threads, do not share an interpreter
+lock; only two CPUs have been measured, so the split stops at two.
 """
 
 from __future__ import annotations
@@ -27,6 +25,7 @@ import os
 import signal
 import threading
 import time
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +86,17 @@ class TrainResult:
     wall_clock_s: float
 
 
+def _hits(model: DecoderModel, dataset: GridVqaDataset, batches, encoder_seed: int) -> tuple[int]:
+    """Greedy answers that match, over the given batches of dataset indices."""
+    cfg = model.config
+    hits = 0
+    for idx in batches:
+        tokens, feats, cls_raw, answers = encode_batch(dataset, idx, cfg.d_in, encoder_seed, scales=cfg.scales, pool=cfg.pool)
+        hits += int(np.sum(model.predict(tokens, feats, cls_raw) == answers))
+        del feats, cls_raw  # free this batch before the next is encoded
+    return (hits,)
+
+
 def evaluate(
     model: DecoderModel,
     dataset: GridVqaDataset,
@@ -95,15 +105,7 @@ def evaluate(
     batch_size: int = 256,
 ) -> float:
     """Greedy accuracy at the answer position over the whole dataset."""
-    cfg = model.config
-    hits = 0
-    for start in range(0, len(dataset), batch_size):
-        idx = np.arange(start, min(start + batch_size, len(dataset)))
-        tokens, feats, cls_raw, answers = encode_batch(
-            dataset, idx, cfg.d_in, encoder_seed, scales=cfg.scales, pool=cfg.pool
-        )
-        hits += int(np.sum(model.predict(tokens, feats, cls_raw) == answers))
-        del feats, cls_raw  # free this batch before the next is encoded
+    (hits,) = _batch_sums(_hits, model, dataset, len(dataset), batch_size, encoder_seed)
     return hits / len(dataset)
 
 
@@ -140,27 +142,82 @@ def _shares(model: DecoderModel, dataset: GridVqaDataset, idx, tiles, count: int
     yield from model.tile_shares(*batch, tiles, count)
 
 
-def _serve(model: DecoderModel, dataset: GridVqaDataset, tiles, count: int, conn, main_end) -> None:
-    """The helper's loop: load the tensors, reply with every tile's share of the samples; ends at EOF."""
+def _step(model: DecoderModel, dataset: GridVqaDataset, tensors, idx, tiles, count: int) -> list:
+    """The helper's training step: load the trainable tensors, then every tile's share of idx."""
+    trainable = model.trainable_tensors()
+    for name, t in tensors.items():
+        trainable[name][...] = t
+    return list(_shares(model, dataset, idx, tiles, count))
+
+
+def _halves(items: list) -> tuple[list, list]:
+    """The main process's first ceil(n/2) items and the helper's rest, or all items and none."""
+    # fork copies only the calling thread, so a lock another Python thread holds would stay held
+    # in the helper.  active_count sees Python threads only; NumPy's OpenBLAS stops its worker
+    # threads in its own pthread_atfork handler and starts them again on its next call.
+    forkable = _usable_cpus() >= 2 and threading.active_count() == 1
+    cut = -(-len(items) // 2) if forkable else len(items)  # -(-a // b) is ceil(a / b)
+    return items[:cut], items[cut:]
+
+
+def _serve(bound: tuple, conn, main_end) -> None:
+    """The helper's loop: reply to each request (fn, args) with (error or None, fn(*bound, *args)); ends at EOF."""
     main_end.close()  # inherited through the fork; while open here, this loop would never see EOF
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C stops the main process, and its exit ends this loop
-    trainable = model.trainable_tensors()
     while True:
         try:
-            tensors, idx = conn.recv()
+            fn, args = conn.recv()
         except EOFError:
             return
         try:
-            for name, t in tensors.items():
-                trainable[name][...] = t
-            reply = None, list(_shares(model, dataset, idx, tiles, count))
+            reply = None, fn(*bound, *args)
         except Exception as exc:  # noqa: BLE001 -- re-raised in the main process
-            reply = exc, []
+            reply = exc, None
         try:
             conn.send(reply)
         except OSError:  # the main process closed its end: it has stopped
             return
-        del reply  # free the shares before the next batch is encoded
+        del reply  # free the result before the next request is served
+
+
+class _Helper:
+    """One helper process running _serve over `bound`, until `close` joins it."""
+
+    def __init__(self, *bound):
+        import multiprocessing  # here, so that a process that never starts the helper never pays for the import
+
+        self.conn, helper_end = multiprocessing.Pipe()
+        self.process = multiprocessing.get_context("fork").Process(target=_serve, args=(bound, helper_end, self.conn))
+        self.process.start()
+        helper_end.close()
+
+    def send(self, fn, *args) -> None:
+        self.conn.send((fn, args))
+
+    def recv(self):
+        try:
+            error, result = self.conn.recv()
+        except (EOFError, ConnectionResetError):
+            raise RuntimeError(f"helper process {self.process.pid} exited mid-call") from None
+        if error is not None:
+            raise error
+        return result
+
+    def close(self) -> None:
+        self.conn.close()  # the helper reads EOF and returns
+        self.process.join()
+        self.process.close()
+
+
+def _batch_sums(fn, model: DecoderModel, dataset: GridVqaDataset, n: int, batch_size: int, *args) -> tuple:
+    """fn(model, dataset, batches, *args), a tuple of integer sums, over [0, n)'s batches, split (_halves)."""
+    batches = [np.arange(start, min(start + batch_size, n)) for start in range(0, n, batch_size)]
+    own, rest = _halves(batches)
+    if not rest:
+        return fn(model, dataset, own, *args)
+    with closing(_Helper(model, dataset)) as helper:
+        helper.send(fn, rest, *args)
+        return tuple(a + b for a, b in zip(fn(model, dataset, own, *args), helper.recv(), strict=True))
 
 
 def train_model(
@@ -189,38 +246,17 @@ def train_model(
     velocity = {name: np.zeros_like(t) for name, t in trainable.items()}
     losses = np.zeros(steps)
     tiles = model.tiles(batch_size)
-    # fork copies only the calling thread, so a lock another Python thread holds would stay held
-    # in the helper.  active_count sees Python threads only; NumPy's OpenBLAS stops its worker
-    # threads in its own pthread_atfork handler and starts them again on its next call.
-    forkable = _usable_cpus() >= 2 and threading.active_count() == 1
-    split = -(-len(tiles) // 2) if forkable else len(tiles)  # -(-a // b) is ceil(a / b)
-    own, rest = tiles[:split], tiles[split:]
+    own, rest = _halves(tiles)
     cut = own[-1].stop  # the main process encodes samples [0, cut), the helper the rest
-    helper = None
-    if rest:
-        import multiprocessing  # here, so that a process that never starts the helper never pays for the import
-
-        conn, helper_end = multiprocessing.Pipe()
-        helper_tiles = [slice(t.start - cut, t.stop - cut) for t in rest]
-        helper = multiprocessing.get_context("fork").Process(
-            target=_serve, args=(model, train_set, helper_tiles, batch_size, helper_end, conn)
-        )
-        helper.start()
-        helper_end.close()
-    try:
+    helper_tiles = [slice(t.start - cut, t.stop - cut) for t in rest]
+    with closing(_Helper(model, train_set)) if rest else nullcontext() as helper:
         for step in range(steps):
             idx = batch_rng.integers(0, len(train_set), size=batch_size)
             if helper is not None:
-                conn.send((trainable, idx[cut:]))
+                helper.send(_step, trainable, idx[cut:], helper_tiles, batch_size)
             loss, grads = add_shares(_shares(model, train_set, idx[:cut], own, batch_size))
             if helper is not None:
-                try:
-                    error, shares = conn.recv()
-                except (EOFError, ConnectionResetError):
-                    raise RuntimeError(f"training helper {helper.pid} exited mid-step") from None
-                if error is not None:
-                    raise error
-                loss, grads = add_shares([(loss, grads), *shares])
+                loss, grads = add_shares([(loss, grads), *helper.recv()])
             lr = cosine_lr(step, steps, base_lr)
             if not np.isfinite(loss):
                 raise TrainingDiverged(
@@ -231,10 +267,5 @@ def train_model(
                 velocity[name] -= lr * grad
                 trainable[name] += velocity[name]
             losses[step] = loss
-    finally:
-        if helper is not None:
-            conn.close()  # the helper reads EOF and returns
-            helper.join()
-            helper.close()
     accuracy = evaluate(model, test_set, encoder_seed=model.config.seed) if test_set is not None else float("nan")
     return TrainResult(losses=losses, final_accuracy=accuracy, wall_clock_s=time.perf_counter() - t0)

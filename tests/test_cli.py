@@ -246,7 +246,15 @@ class TestHeatmapCommand:
         (lambda m: [m], "manifest must be a JSON object"),
         (lambda m: {**m, "config": 5}, "config must be a JSON object"),
         (lambda m: {**m, "tensors": {**m["tensors"], "embed": "embed.admt"}}, "'embed' must be listed as a JSON object"),
-    ], ids=["unknown-config-key", "list", "numeric-config", "string-tensor-entry"])
+        (lambda m: {**m, "metrics": 5}, "metrics must be a JSON object"),
+        (lambda m: {**m, "metrics": None}, "metrics must be a JSON object"),
+        (lambda m: {**m, "tensors": {**m["tensors"], "embed": {**m["tensors"]["embed"], "file": 7}}},
+         "'embed' must be listed as a JSON object with a string \"file\""),
+        (lambda m: {**m, "tensors": {**m["tensors"], "embed": {"shape": m["tensors"]["embed"]["shape"]}}},
+         "'embed' must be listed as a JSON object with a string \"file\""),
+        (lambda m: {k: v for k, v in m.items() if k != "step"}, "step must be a JSON integer, got nothing"),
+    ], ids=["unknown-config-key", "list", "numeric-config", "string-tensor-entry", "numeric-metrics", "null-metrics",
+            "numeric-file", "entry-without-file", "no-step"])
     def test_malformed_manifest_structured_error(self, edit, message, tmp_path, capsys):
         save_checkpoint(tmp_path / "ck", DecoderModel.build(ModelConfig()))
         mpath = tmp_path / "ck" / "manifest.json"

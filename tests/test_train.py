@@ -14,9 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fuselab import experiment as experiment_module
 from fuselab import model as model_module
 from fuselab import train as train_module
-from fuselab.data import encode_batch, gen_dataset
+from fuselab.data import GridVqaDataset, encode_batch, gen_dataset
 from fuselab.experiment import ExperimentConfig, drop_heatmap
 from fuselab.model import DecoderModel, ModelConfig, legal_placements
 from fuselab.train import (
@@ -157,12 +158,12 @@ class InjectedFailure(Exception):
     """Raised on purpose in one process; importable, so it pickles back from a helper."""
 
 
-class TestHelperProcesses:
-    """train_model splits each step's tiles between the main process and, with 2+ CPUs and 2+ tiles, one helper."""
+class HelperFixtures:
+    """A deadline on each test and a count of the helpers it forks."""
 
     @pytest.fixture(autouse=True)
     def deadline(self):
-        """A helper that never exits would hang train_model's reaping; fail the test and kill the helper instead."""
+        """A helper that never exits would hang its reaping; fail the test and kill the helper instead."""
 
         def expire(signum, frame):
             pytest.fail("test overran its 120 s deadline")  # not an OSError, which Process.join swallows
@@ -178,7 +179,7 @@ class TestHelperProcesses:
 
     @pytest.fixture()
     def forks(self, monkeypatch):
-        """Counts the helpers each train_model call forks: the child pids os.fork returns in this process."""
+        """Counts the helpers each call forks: the child pids os.fork returns in this process."""
         made, real_fork = [], os.fork
 
         def fork():
@@ -189,6 +190,10 @@ class TestHelperProcesses:
 
         monkeypatch.setattr(os, "fork", fork)
         return made
+
+
+class TestHelperProcesses(HelperFixtures):
+    """train_model splits each step's tiles between the main process and, with 2+ CPUs and 2+ tiles, one helper."""
 
     @staticmethod
     def train(monkeypatch, cpus, steps=3, batch_size=64, **overrides):
@@ -296,9 +301,9 @@ class TestHelperProcesses:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(train_module, "encode_batch", encode_batch)
-        with pytest.raises(RuntimeError, match=r"training helper \d+ exited mid-step") as raised:
+        with pytest.raises(RuntimeError, match=r"helper process \d+ exited mid-call") as raised:
             self.train(monkeypatch, cpus=2, steps=2)
-        assert forks and str(raised.value) == f"training helper {forks[0]} exited mid-step"
+        assert forks and str(raised.value) == f"helper process {forks[0]} exited mid-call"
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -335,7 +340,7 @@ class TestHelperProcesses:
         model = DecoderModel.build(ModelConfig())
         conn, helper_end = multiprocessing.Pipe()
         helper = multiprocessing.get_context("fork").Process(
-            target=train_module._serve, args=(model, train_set, model.tiles(8), 8, helper_end, conn)
+            target=train_module._serve, args=((model, train_set), helper_end, conn)
         )
         helper.start()
         helper_end.close()
@@ -343,6 +348,113 @@ class TestHelperProcesses:
         helper.join(timeout=60)
         assert not helper.is_alive() and helper.exitcode == 0
         helper.close()
+
+
+class TestSplitForwardPasses(HelperFixtures):
+    """evaluate and drop_heatmap split their batches between the main process and, with 2+ CPUs and 2+ batches, one helper."""
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        """An aligned default model, a text-only one, and a 1024-sample test set."""
+        config = ExperimentConfig()
+        _, test_set = gen_dataset(3, n_train=1, n_test=1024)
+        fused = align_visual_keys(DecoderModel.build(config.model_config()), channels=8)
+        text_only = DecoderModel.build(ExperimentConfig(alpha=0.0).model_config())
+        return fused, text_only, test_set
+
+    @staticmethod
+    def heatmap(model, test_set, n_samples=256, batch_size=128):
+        report = drop_heatmap(model, test_set, n_samples=n_samples, batch_size=batch_size)
+        return report.to_dict(), {scale: grid.tobytes() for scale, grid in report.counts.items()}
+
+    @pytest.mark.parametrize("n_samples", [1024, 1000], ids=["even", "uneven-last-batch"])
+    def test_evaluate_bit_identical_for_any_cpu_count(self, n_samples, models, monkeypatch, forks):
+        fused, _, test_set = models
+        subset = GridVqaDataset(test_set.images[:n_samples], test_set.queries[:n_samples],
+                                test_set.answers[:n_samples], test_set.channels)
+        accuracies = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(train_module, "_usable_cpus", lambda: cpus)
+            forks.clear()
+            accuracies.append(evaluate(fused, subset, encoder_seed=0, batch_size=256))
+            assert len(forks) == min(cpus, 2) - 1  # one helper at most, however many CPUs
+        assert accuracies[1:] == accuracies[:1] * 2
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["fused", "text-only"])
+    def test_drop_heatmap_bit_identical_for_any_cpu_count(self, which, models, monkeypatch, forks):
+        model, test_set = models[which], models[2]
+        reports = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(train_module, "_usable_cpus", lambda: cpus)
+            forks.clear()
+            reports.append(self.heatmap(model, test_set))
+            assert len(forks) == min(cpus, 2) - 1
+        assert reports[1:] == reports[:1] * 2
+
+    def test_no_helper_for_one_batch(self, models, monkeypatch, forks):
+        fused, _, test_set = models
+        monkeypatch.setattr(train_module, "_usable_cpus", lambda: 2)
+        self.heatmap(fused, test_set, n_samples=128)
+        evaluate(fused, GridVqaDataset(test_set.images[:256], test_set.queries[:256], test_set.answers[:256],
+                                       test_set.channels), encoder_seed=0, batch_size=256)
+        assert forks == []
+
+    def test_no_helper_while_another_thread_runs(self, models, monkeypatch, forks):
+        fused, _, test_set = models
+        monkeypatch.setattr(train_module, "_usable_cpus", lambda: 2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            threaded = self.heatmap(fused, test_set)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert forks == [] and not other.is_alive()
+        assert self.heatmap(fused, test_set) == threaded and len(forks) == 1
+
+    def test_exception_in_the_helper_reaches_the_caller(self, models, monkeypatch, forks):
+        fused, _, test_set = models
+        monkeypatch.setattr(train_module, "_usable_cpus", lambda: 2)
+        main_pid, real = os.getpid(), train_module.encode_batch
+
+        def encode_batch(*args, **kwargs):
+            if os.getpid() != main_pid:
+                raise InjectedFailure("raised in the helper process")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(train_module, "encode_batch", encode_batch)
+        with pytest.raises(InjectedFailure, match="in the helper process"):
+            evaluate(fused, test_set, encoder_seed=0, batch_size=256)
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_helper_death_mid_call_is_a_runtime_error(self, models, monkeypatch, forks):
+        fused, _, test_set = models
+        monkeypatch.setattr(train_module, "_usable_cpus", lambda: 2)
+        main_pid, real = os.getpid(), experiment_module.encode_batch
+
+        def encode_batch(*args, **kwargs):
+            if os.getpid() != main_pid:
+                os._exit(3)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiment_module, "encode_batch", encode_batch)
+        with pytest.raises(RuntimeError) as raised:
+            self.heatmap(fused, test_set)
+        assert forks and str(raised.value) == f"helper process {forks[0]} exited mid-call"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors from /proc")
+    def test_no_descriptor_left_open(self, models, monkeypatch, forks):
+        fused, _, test_set = models
+        monkeypatch.setattr(train_module, "_usable_cpus", lambda: 2)
+        before = sorted(os.listdir("/proc/self/fd"))
+        evaluate(fused, test_set, encoder_seed=0, batch_size=256)
+        self.heatmap(fused, test_set)
+        assert sorted(os.listdir("/proc/self/fd")) == before and len(forks) == 2
 
 
 class TestEvaluate:
@@ -415,7 +527,7 @@ class TestTextOnly:
 
 
 class StubConnection:
-    """The training helper's end of the pipe: the given requests, then EOFError; every reply is dropped."""
+    """The helper's end of the pipe: the given requests, then EOFError; every reply is dropped."""
 
     def __init__(self, requests):
         self.requests = iter(requests)
@@ -443,8 +555,20 @@ class TestBatchMemory:
     batch while encoding the next, with a whole-batch encoder, read 3.01
     and 3.35.  The training helper also holds one tile's backward arrays
     and its shares until it has sent them: 2.27, against 2.88 when it held
-    its previous batch and reply while encoding the next.
+    its previous batch and reply while encoding the next.  The helper's half
+    of a forward pass (the last two batches) reads the same as the whole
+    pass: 1.59 and 1.77.  tracemalloc sees one process only, so the passes
+    run on one CPU here, and the helper's loop (_serve) runs in this
+    process on stub pipe ends.
     """
+
+    @pytest.fixture(autouse=True)
+    def one_process(self, monkeypatch):
+        """One usable CPU, and SIGINT restored after the test, since _serve ignores it."""
+        monkeypatch.setattr(train_module, "_usable_cpus", lambda: 1)
+        previous = signal.getsignal(signal.SIGINT)
+        yield
+        signal.signal(signal.SIGINT, previous)
 
     @staticmethod
     def peak_units(call):
@@ -461,22 +585,30 @@ class TestBatchMemory:
             tracemalloc.stop()
         return peak / (64 * model.config.n_rows * config.d_in * 8)
 
+    @staticmethod
+    def serve(requests):
+        """A call that runs the helper's loop in this process on requests(model)."""
+        return lambda model, data: train_module._serve((model, data), StubConnection(requests(model)), StubConnection([]))
+
     def test_evaluate(self):
         assert self.peak_units(lambda m, data: evaluate(m, data, encoder_seed=0, batch_size=64)) <= 2.0
 
     def test_drop_heatmap(self):
         assert self.peak_units(lambda m, data: drop_heatmap(m, data, n_samples=256, batch_size=64)) <= 2.0
 
-    def test_training_helper(self):
-        def serve(model, data):
-            requests = [(model.trainable_tensors(), np.arange(start, start + 64)) for start in range(0, 256, 64)]
-            train_module._serve(model, data, model.tiles(64), 64, StubConnection(requests), StubConnection([]))
+    @pytest.mark.parametrize("job", [train_module._hits, experiment_module._heatmap_counts], ids=["hits", "heatmap"])
+    def test_forward_helper(self, job):
+        """The helper's half of a forward pass: the last two of four batches."""
+        rest = [np.arange(start, start + 64) for start in (128, 192)]
+        assert self.peak_units(self.serve(lambda model: [(job, (rest, 0))])) <= 2.0
 
-        previous = signal.getsignal(signal.SIGINT)  # _serve ignores SIGINT
-        try:
-            assert self.peak_units(serve) <= 2.5
-        finally:
-            signal.signal(signal.SIGINT, previous)
+    def test_training_helper(self):
+        def requests(model):
+            tiles, tensors = model.tiles(64), model.trainable_tensors()
+            return [(train_module._step, (tensors, np.arange(start, start + 64), tiles, 64))
+                    for start in range(0, 256, 64)]
+
+        assert self.peak_units(self.serve(requests)) <= 2.5
 
 
 class TestAlignVisualKeys:
