@@ -21,7 +21,7 @@ import numpy as np
 from .data import GridVqaDataset, encode_batch, gen_dataset, vocab_size
 from .flops import FlopsReport, flops
 from .fusion import drop_count
-from .model import DecoderModel, FlatConfig, ModelConfig, answer_nll, legal_placements, save_checkpoint
+from .model import LEGAL_PLACEMENTS, DecoderModel, FlatConfig, ModelConfig, answer_nll, save_checkpoint
 from .prompt import GRID, scale_layout
 from .tensor import ACTIVATIONS
 from .train import BASE_LR, KEY_GAIN, _batch_sums, align_visual_keys, train_model
@@ -344,9 +344,7 @@ def _pooling_rows():
 
 ABLATION_AXES = {
     "projection": lambda: [({"phi": kind}, f"phi={kind}") for kind in ACTIVATIONS],
-    "placement": lambda: [
-        ({"placement": p}, f"{p.query_from}->{p.add_to}") for p in legal_placements()
-    ],
+    "placement": lambda: [({"placement": p}, "->".join(p)) for p in LEGAL_PLACEMENTS],
     "pooling": _pooling_rows,
     "alpha": lambda: [({"alpha": v}, f"alpha={v}") for v in (0.01, 0.05, 0.1, 0.2, 0.5)],
     "beta": lambda: [({"beta": v}, f"beta={v}") for v in (0.001, 0.005, 0.01, 0.05, 0.1)],
@@ -439,7 +437,6 @@ def gradcheck_report(seed: int = 0, trials: int = 20) -> dict:
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     h = 1e-5
-    placements = legal_placements()
     rows = []
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence((seed, trial)))
@@ -452,7 +449,7 @@ def gradcheck_report(seed: int = 0, trials: int = 20) -> dict:
         gamma = 0.0 if trial % 2 == 0 else 0.2
         phi = ACTIVATIONS[trial % len(ACTIVATIONS)]
         # shifted by one row every round, so a placement does not always meet the same phi
-        placement = placements[(trial + trial // len(placements)) % len(placements)]
+        placement = LEGAL_PLACEMENTS[(trial + trial // len(LEGAL_PLACEMENTS)) % len(LEGAL_PLACEMENTS)]
         model = DecoderModel.build(ModelConfig(
             **dims, placement=placement, gamma=gamma, phi=phi, scales=(4,),
             pos_scale=0.3, b_scale=0.3, seed=int(rng.integers(2**31)),
@@ -488,7 +485,7 @@ def gradcheck_report(seed: int = 0, trials: int = 20) -> dict:
             scale = max(np.max(np.abs(numeric)), np.max(np.abs(sampled)), 1e-12)
             by_tensor[name] = float(np.max(np.abs(numeric - sampled)) / scale)
         rows.append({
-            "trial": trial, **dims, "placement": f"{placement.query_from}->{placement.add_to}",
+            "trial": trial, **dims, "placement": "->".join(placement),
             "gamma": gamma, "phi": phi, "max_rel_err": max(by_tensor.values()), "by_tensor": by_tensor,
             "nonsmooth": nonsmooth,
         })

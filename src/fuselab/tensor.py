@@ -206,13 +206,17 @@ def tensor_to_bytes(x: np.ndarray) -> bytes:
 def tensor_from_bytes(blob: bytes) -> np.ndarray:
     if blob[:4] != MAGIC:
         raise ValueError(f"bad magic {blob[:4]!r}; expected {MAGIC!r}")
-    version, rank = struct.unpack_from("<BB", blob, 4)
+    if len(blob) < 6:
+        raise ValueError(f"{len(blob)} bytes end inside the 6-byte header")
+    version, rank = blob[4], blob[5]
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported tensor format version {version}")
     if rank < 1 or rank > MAX_RANK:
         raise ValueError(f"rank {rank} outside supported range 1..{MAX_RANK}")
-    dims = struct.unpack_from(f"<{rank}Q", blob, 6)
     offset = 6 + 8 * rank
+    if len(blob) < offset:
+        raise ValueError(f"{len(blob)} bytes end inside the {offset}-byte header and dims of a rank-{rank} tensor")
+    dims = struct.unpack_from(f"<{rank}Q", blob, 6)
     count = int(np.prod(dims))
     expected = offset + 8 * count
     if len(blob) != expected:

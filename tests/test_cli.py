@@ -187,6 +187,13 @@ class TestAblateCommand:
         assert err.value.code == 2
 
 
+def _cut_embed(m, ck):
+    """Cut the embedding's tensor file inside its dims."""
+    path = ck / m["tensors"]["embed"]["file"]
+    path.write_bytes(path.read_bytes()[:9])
+    return m
+
+
 class TestHeatmapCommand:
     def test_reads_checkpoint_and_writes_grids(self, tiny_config_file, tmp_path, capsys):
         run_dir = tmp_path / "run"
@@ -242,23 +249,27 @@ class TestHeatmapCommand:
         assert err["error"] == "ValueError" and "run config" in err["message"]
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda m: {**m, "config": {**m["config"], "n_heads": 4}}, "n_heads"),
-        (lambda m: [m], "manifest must be a JSON object"),
-        (lambda m: {**m, "config": 5}, "config must be a JSON object"),
-        (lambda m: {**m, "tensors": {**m["tensors"], "embed": "embed.admt"}}, "'embed' must be listed as a JSON object"),
-        (lambda m: {**m, "metrics": 5}, "metrics must be a JSON object"),
-        (lambda m: {**m, "metrics": None}, "metrics must be a JSON object"),
-        (lambda m: {**m, "tensors": {**m["tensors"], "embed": {**m["tensors"]["embed"], "file": 7}}},
+        (lambda m, _: {**m, "config": {**m["config"], "n_heads": 4}}, "n_heads"),
+        (lambda m, _: [m], "manifest must be a JSON object"),
+        (lambda m, _: {**m, "config": 5}, "config must be a JSON object"),
+        (lambda m, _: {**m, "tensors": {**m["tensors"], "embed": "embed.admt"}},
+         "'embed' must be listed as a JSON object"),
+        (lambda m, _: {**m, "metrics": 5}, "metrics must be a JSON object"),
+        (lambda m, _: {**m, "metrics": None}, "metrics must be a JSON object"),
+        (lambda m, _: {**m, "tensors": {**m["tensors"], "embed": {**m["tensors"]["embed"], "file": 7}}},
          "'embed' must be listed as a JSON object with a string \"file\""),
-        (lambda m: {**m, "tensors": {**m["tensors"], "embed": {"shape": m["tensors"]["embed"]["shape"]}}},
+        (lambda m, _: {**m, "tensors": {**m["tensors"], "embed": {"shape": m["tensors"]["embed"]["shape"]}}},
          "'embed' must be listed as a JSON object with a string \"file\""),
-        (lambda m: {k: v for k, v in m.items() if k != "step"}, "step must be a JSON integer, got nothing"),
+        (lambda m, _: {k: v for k, v in m.items() if k != "step"}, "step must be a JSON integer, got nothing"),
+        (_cut_embed, "9 bytes end inside the 22-byte header"),
+        (lambda m, _: {**m, "tensors": {**m["tensors"], "fusion.extra": {"file": "fusion_extra.admt"}}},
+         "checkpoint tensor 'fusion.extra' has no slot in the model"),
     ], ids=["unknown-config-key", "list", "numeric-config", "string-tensor-entry", "numeric-metrics", "null-metrics",
-            "numeric-file", "entry-without-file", "no-step"])
+            "numeric-file", "entry-without-file", "no-step", "truncated-tensor-file", "extra-entry-without-file"])
     def test_malformed_manifest_structured_error(self, edit, message, tmp_path, capsys):
         save_checkpoint(tmp_path / "ck", DecoderModel.build(ModelConfig()))
         mpath = tmp_path / "ck" / "manifest.json"
-        mpath.write_text(json.dumps(edit(json.loads(mpath.read_text()))))
+        mpath.write_text(json.dumps(edit(json.loads(mpath.read_text()), tmp_path / "ck")))
         assert main(["heatmap", "--checkpoint", str(tmp_path / "ck")]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError" and message in err["message"]

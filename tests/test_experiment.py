@@ -56,7 +56,7 @@ class TestExperimentConfig:
         cfg = tiny_config(channels=4)
         mc = cfg.model_config()
         assert mc.vocab_size == 36
-        assert mc.placement.as_tuple() == ("mlp_in", "mlp_out")
+        assert mc.placement == ("mlp_in", "mlp_out")
         assert mc.seed == cfg.seed
 
     def test_defaults_match_toy_scale(self):

@@ -202,6 +202,11 @@ class TestAdaptiveMask:
         kept = [np.sum(adaptive_mask(s, g)) for g in (0.0, 0.1, 0.2, 0.3, 0.4, 0.7)]
         assert all(a >= b for a, b in zip(kept, kept[1:]))
 
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 5)])
+    def test_scores_must_be_rank_2(self, shape):
+        with pytest.raises(ShapeError, match="scores must be rank 2"):
+            adaptive_mask(np.zeros(shape), 0.2)
+
     def test_duplicate_heavy_rows(self):
         s = np.zeros((2, 8))
         np.testing.assert_array_equal(adaptive_mask(s, 0.5), np.repeat([[0.0] * 4 + [1.0] * 4], 2, axis=0))
@@ -209,15 +214,14 @@ class TestAdaptiveMask:
 
 class TestFusionParams:
     def test_shape_coherence_enforced(self):
-        g = rng(13)
-        with pytest.raises(ShapeError):
-            FusionParams(
-                a_feat=g.normal(size=(4, 3)),
-                b_feat=g.normal(size=(2, 6)),
-                a_cls=g.normal(size=(4, 3)),
-                b_cls=g.normal(size=(3, 6)),
-                pos_embed=np.zeros((5, 6)),
-            )
+        # b_feat of rank 2 after a rank-3 a_feat; a cls pair from 5 features, or to 7 widths, or not
+        # composing; pos_embed of the wrong width or rank
+        good = dict(a_feat=np.zeros((4, 3)), b_feat=np.zeros((3, 6)), a_cls=np.zeros((4, 3)), b_cls=np.zeros((3, 6)),
+                    pos_embed=np.zeros((5, 6)))
+        for name, shape in (("b_feat", (2, 6)), ("a_cls", (5, 3)), ("b_cls", (3, 7)), ("a_cls", (4, 2)),
+                            ("pos_embed", (5, 7)), ("pos_embed", (6,))):
+            with pytest.raises(ShapeError):
+                FusionParams(**{**good, name: np.zeros(shape)})
 
     def test_init_shapes_and_nullity_state(self):
         p = FusionParams.init(rng(14), d_in=4, d_model=6, rank=3, n_rows=5, pos_scale=0.0, b_scale=0.0)

@@ -1,5 +1,6 @@
 """Tests for the frozen toy decoder and its placement-configurable fusion."""
 
+import json
 import math
 import re
 import tracemalloc
@@ -13,13 +14,11 @@ from fuselab.model import (
     LEGAL_PLACEMENTS,
     DecoderModel,
     ModelConfig,
-    PlacementConfig,
     answer_nll,
-    legal_placements,
     load_checkpoint,
     save_checkpoint,
 )
-from fuselab.tensor import TILE_BYTES, ShapeError
+from fuselab.tensor import TILE_BYTES, ShapeError, save_tensor
 
 from .oracles import fd_grad, grad_rel_err, softmax_row_list
 
@@ -32,7 +31,7 @@ def tiny_config(**overrides):
         rank=2,
         vocab_size=40,
         max_seq=4,
-        placement=PlacementConfig("mlp_in", "mlp_out"),
+        placement=("mlp_in", "mlp_out"),
         alpha=0.1,
         beta=0.01,
         gamma=0.2,
@@ -79,28 +78,26 @@ def assert_gradcheck(model, tokens, feats, cls_raw, targets, *, label=None):
         assert grad_rel_err(analytic, numeric) <= 1e-4, (label, name)
 
 
-class TestPlacementConfig:
-    def test_six_legal(self):
-        assert len(legal_placements()) == 6
-        for q, a in LEGAL_PLACEMENTS:
-            PlacementConfig(q, a)
+class TestModelConfig:
+    def test_six_legal_placements(self):
+        assert len(LEGAL_PLACEMENTS) == 6
+        for pair in LEGAL_PLACEMENTS:
+            assert tiny_config(placement=pair).placement == pair
 
     @pytest.mark.parametrize(
         "pair",
         [("mlp_out", "mlp_in"), ("mhsa_out", "mhsa_in"), ("mhsa_in", "mlp_out"),
          ("mlp_in", "mhsa_out"), ("nowhere", "mlp_out")],
     )
-    def test_illegal_rejected(self, pair):
-        with pytest.raises(ValueError):
-            PlacementConfig(*pair)
+    def test_illegal_placement_rejected(self, pair):
+        with pytest.raises(ValueError, match="not one of the 6 legal pairs"):
+            tiny_config(placement=pair)
 
-    def test_default_is_best_row(self):
-        assert PlacementConfig().as_tuple() == ("mlp_in", "mlp_out")
+    def test_default_placement_is_best_row(self):
+        assert ModelConfig().placement == ("mlp_in", "mlp_out")
 
-
-class TestModelConfig:
     def test_dict_roundtrip(self):
-        cfg = tiny_config(placement=PlacementConfig("mhsa_in", "mhsa_out"), scales=(1, 2))
+        cfg = tiny_config(placement=("mhsa_in", "mhsa_out"), scales=(1, 2))
         back = ModelConfig.from_dict(cfg.to_dict())
         assert back == cfg
 
@@ -109,8 +106,7 @@ class TestModelConfig:
             ModelConfig.from_dict({**tiny_config().to_dict(), "n_heads": 4})
 
     def test_placement_tuple_coerced(self):
-        cfg = tiny_config(placement=("mhsa_out", "mhsa_out"))
-        assert isinstance(cfg.placement, PlacementConfig)
+        assert tiny_config(placement=["mhsa_out", "mhsa_out"]).placement == ("mhsa_out", "mhsa_out")
 
     def test_positivity_enforced(self):
         with pytest.raises(ValueError):
@@ -149,7 +145,7 @@ class TestPlacements:
         outs = {}
         tokens, feats, cls_raw, _ = tiny_inputs(2)
         for q, a in LEGAL_PLACEMENTS:
-            model = awaken(DecoderModel.build(tiny_config(placement=PlacementConfig(q, a))))
+            model = awaken(DecoderModel.build(tiny_config(placement=(q, a))))
             outs[(q, a)] = model.forward(tokens, feats, cls_raw)
         pairs = list(outs)
         for i, p in enumerate(pairs):
@@ -158,7 +154,7 @@ class TestPlacements:
 
     @pytest.mark.parametrize("pair", LEGAL_PLACEMENTS)
     def test_gradcheck_every_placement(self, pair):
-        model = awaken(DecoderModel.build(tiny_config(placement=PlacementConfig(*pair))))
+        model = awaken(DecoderModel.build(tiny_config(placement=pair)))
         assert_gradcheck(model, *tiny_inputs(3), label=pair)
 
     @pytest.mark.parametrize("phi", ["identity", "elu", "softmax_rows", "silu_positive"])
@@ -265,6 +261,8 @@ class TestBatchSemantics:
             model.loss_and_grads(tokens, rows_cut, cls_raw, targets)
         with pytest.raises(ShapeError, match="must share their batch size"):
             model.forward(tokens, feats[:12], cls_raw)
+        with pytest.raises(ShapeError, match=re.escape(f"tokens must be (batch, T), got {tokens[:, :, None].shape}")):
+            model.loss_and_grads(tokens[:, :, None], feats, cls_raw, targets)
 
     def test_empty_batch(self):
         model = DecoderModel.build(tiny_config())
@@ -382,7 +380,7 @@ class TestParameterBookkeeping:
         base = set(model.base_tensors())
         trainable = set(model.trainable_tensors())
         assert not base & trainable
-        assert len(base) == 4 + 12 * model.config.n_blocks
+        assert len(base) == 2 + 6 * model.config.n_blocks
 
 
 class TestCheckpoint:
@@ -431,6 +429,42 @@ class TestCheckpoint:
         del manifest["tensors"]["fusion.b_feat"]
         mpath.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="fusion.b_feat"):
+            load_checkpoint(tmp_path / "ck")
+
+    @staticmethod
+    def with_retired_constants(directory, model, values):
+        """List the 14 constants earlier checkpoints also wrote, each holding its constant unless values says."""
+        d = model.config.d_model
+        mpath = directory / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        retired = {"lnf_g": (1.0, d), "lnf_b": (0.0, d)}
+        for i in range(model.config.n_blocks):
+            for name, fill, width in (("ln1_g", 1.0, d), ("ln1_b", 0.0, d), ("b_mlp1", 0.0, 4 * d),
+                                      ("b_mlp2", 0.0, d), ("ln2_g", 1.0, d), ("ln2_b", 0.0, d)):
+                retired[f"block{i}.{name}"] = (fill, width)
+        for name, (fill, width) in retired.items():
+            fname = name.replace(".", "_") + ".admt"
+            save_tensor(directory / fname, values.get(name, np.full(width, fill)))
+            manifest["tensors"][name] = {"file": fname, "shape": [width]}
+        mpath.write_text(json.dumps(manifest))
+        return len(manifest["tensors"])
+
+    def test_checkpoint_listing_retired_constants_loads_bit_exact(self, tmp_path):
+        model = awaken(DecoderModel.build(tiny_config()))
+        save_checkpoint(tmp_path / "ck", model)
+        assert len(list((tmp_path / "ck").glob("*.admt"))) == 19
+        assert self.with_retired_constants(tmp_path / "ck", model, {"block1.ln2_b": np.full(8, -0.0)}) == 33
+        back, _, _ = load_checkpoint(tmp_path / "ck")
+        tokens, feats, cls_raw, _ = tiny_inputs(12)
+        assert model.forward(tokens, feats, cls_raw).tobytes() == back.forward(tokens, feats, cls_raw).tobytes()
+
+    @pytest.mark.parametrize("name, value", [("lnf_g", np.zeros(8)), ("block1.b_mlp1", np.full(32, 1e-300)),
+                                             ("block0.ln1_g", np.array([1.0, np.nan]))])
+    def test_retired_constant_of_another_value_rejected(self, tmp_path, name, value):
+        model = DecoderModel.build(tiny_config())
+        save_checkpoint(tmp_path / "ck", model)
+        self.with_retired_constants(tmp_path / "ck", model, {name: value})
+        with pytest.raises(ValueError, match=re.escape(f"checkpoint tensor '{name}' must hold only")):
             load_checkpoint(tmp_path / "ck")
 
     def test_other_format_rejected(self, tmp_path):

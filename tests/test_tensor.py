@@ -86,6 +86,8 @@ class TestActivations:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             activation(np.zeros(2), "tanh")
+        with pytest.raises(ValueError, match="unknown activation kind"):
+            activation_vjp(np.zeros(2), None, np.ones(2), "tanh")
 
     def test_relu_monotone(self):
         xs = np.linspace(-5, 5, 201)
@@ -222,6 +224,8 @@ class TestPooling:
             avg_pool2d(np.zeros((6, 6, 1)), 4)
         with pytest.raises(ShapeError):
             max_pool2d(np.zeros((16, 12, 1)), 5)
+        with pytest.raises(ShapeError, match="kernel must be positive"):
+            avg_pool2d(np.zeros((4, 4, 1)), 0)
 
     def test_requires_rank_3(self):
         with pytest.raises(ShapeError):
@@ -281,9 +285,18 @@ class TestBinaryFormat:
             tensor_from_bytes(bytes(blob))
 
     def test_truncated_payload_rejected(self):
+        # cut in the payload, in the 6-byte header, and in the dims of a rank-2 tensor's 22-byte header
         blob = tensor_to_bytes(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            tensor_from_bytes(blob[:-8])
+        for cut, message in ((-8, "payload length"), (4, "6-byte header"), (9, "22-byte header")):
+            with pytest.raises(ValueError, match=message):
+                tensor_from_bytes(blob[:cut])
+
+    @pytest.mark.parametrize("rank", [0, 4])
+    def test_rank_outside_range_rejected(self, rank):
+        blob = bytearray(tensor_to_bytes(np.zeros(3)))
+        blob[5] = rank
+        with pytest.raises(ValueError, match="outside supported range"):
+            tensor_from_bytes(bytes(blob))
 
 
 @settings(max_examples=50, deadline=None)

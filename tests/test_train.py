@@ -19,7 +19,7 @@ from fuselab import model as model_module
 from fuselab import train as train_module
 from fuselab.data import GridVqaDataset, encode_batch, gen_dataset
 from fuselab.experiment import ExperimentConfig, drop_heatmap
-from fuselab.model import DecoderModel, ModelConfig, legal_placements
+from fuselab.model import LEGAL_PLACEMENTS, DecoderModel, ModelConfig
 from fuselab.train import (
     BASE_LR,
     TrainingDiverged,
@@ -479,7 +479,7 @@ class TestEvaluate:
 class TestTextOnly:
     """At alpha = 0 the model skips its visual side; the full path is the reference."""
 
-    @pytest.mark.parametrize("placement", legal_placements(), ids=lambda p: f"{p.query_from}->{p.add_to}")
+    @pytest.mark.parametrize("placement", LEGAL_PLACEMENTS, ids="->".join)
     def test_loss_and_grads_match_full_path(self, placement, small_data):
         train_set, _ = small_data
         cfg = small_config(alpha=0.0, n_blocks=2, placement=placement)
