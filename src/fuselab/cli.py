@@ -55,7 +55,7 @@ def _seed(default: int) -> int:
 
 
 def _cmd_flops(args) -> int:
-    report = flops(args.L, args.N, args.d, bench=args.bench)
+    report = flops(args.L, args.N, args.d)
     if args.json:
         print(report.to_json())
     else:
@@ -152,6 +152,8 @@ def _cmd_heatmap(args) -> int:
 
 
 def _cmd_dump_prompt(args) -> int:
+    if args.channels < 1:
+        raise ValueError(f"--channels must be at least 1, got {args.channels}")
     seed = _seed(args.seed)
     rng = np.random.default_rng(seed)
     image = np.eye(args.channels)[rng.integers(0, args.channels, size=(16, 16))]
@@ -181,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=int, required=True, help="text rows")
     p.add_argument("--N", type=int, required=True, help="visual rows")
     p.add_argument("--d", type=int, required=True, help="model width")
-    p.add_argument("--bench", action="store_true", help="also micro-time both kernels")
     p.add_argument("--json", action="store_true", help="emit JSON instead of the table")
     p.set_defaults(func=_cmd_flops)
 

@@ -513,37 +513,34 @@ class DecoderModel:
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: one binary tensor file per weight plus a JSON manifest
+# checkpoints: a JSON manifest plus one binary tensor file per trained tensor;
+# the frozen base is drawn again from the config and checked by its digest
 
 MANIFEST_NAME = "manifest.json"
-CHECKPOINT_FORMAT = 1  # a manifest without "format" predates the key and is format 1
-# the layer norms' gains and biases and the MLP biases, which earlier format-1
-# checkpoints list though nothing drew, trained or set them: each must hold its constant
-_RETIRED = {"ln1_g": 1.0, "ln1_b": 0.0, "b_mlp1": 0.0, "b_mlp2": 0.0, "ln2_g": 1.0, "ln2_b": 0.0}
+CHECKPOINT_FORMAT = 2
 
 
-def _all_tensors(model: DecoderModel) -> dict[str, np.ndarray]:
-    out = dict(model.base_tensors())
-    for name, t in model.trainable_tensors().items():
-        out[f"fusion.{name}"] = t
-    return out
+def _base_sha256(model: DecoderModel) -> str:
+    """SHA-256 of the frozen base's bytes, in base_tensors() order."""
+    import hashlib  # here: it loads OpenSSL (3 MB of RSS), which only checkpoints need
+
+    digest = hashlib.sha256()
+    for t in model.base_tensors().values():
+        digest.update(t.tobytes())
+    return digest.hexdigest()
 
 
 def save_checkpoint(directory, model: DecoderModel, *, step: int = 0, metrics: dict | None = None) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    tensors = _all_tensors(model)
-    files = {}
-    for name, t in tensors.items():
-        fname = name.replace(".", "_") + ".admt"
-        save_tensor(directory / fname, t)
-        files[name] = {"file": fname, "shape": list(t.shape)}
+    for name, t in model.trainable_tensors().items():
+        save_tensor(directory / f"fusion_{name}.admt", t)
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "config": model.config.to_dict(),
+        "base_sha256": _base_sha256(model),
         "step": step,
         "metrics": metrics or {},
-        "tensors": files,
     }
     (directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2))
     return directory
@@ -552,43 +549,35 @@ def save_checkpoint(directory, model: DecoderModel, *, step: int = 0, metrics: d
 def load_checkpoint(directory):
     """Rebuild (model, step, metrics) with bit-identical tensors.
 
-    The manifest must be of CHECKPOINT_FORMAT, its config must build, and
-    it must list exactly the model's tensors: a missing one would
-    otherwise keep its seed init and load silently.  An entry for a
-    retired constant (_RETIRED) is skipped if it holds that constant.
+    The manifest must be of CHECKPOINT_FORMAT and its config must build.
+    The config draws the frozen base again, so base_sha256 must match
+    that draw: another NumPy's generator may draw other values.  Each
+    trained tensor is then read from its fixed file name.
     """
     directory = Path(directory)
     manifest = json.loads((directory / MANIFEST_NAME).read_text())
     if not isinstance(manifest, dict):
         raise ValueError(f"checkpoint manifest must be a JSON object, got {type(manifest).__name__}")
-    version = manifest.get("format", 1)
+    version = manifest.get("format")
     if version != CHECKPOINT_FORMAT:
         raise ValueError(f"checkpoint format {version!r} cannot be read; this version reads format {CHECKPOINT_FORMAT}")
-    for key, kind in (("config", dict), ("step", int), ("metrics", dict), ("tensors", dict)):
+    for key, kind, kind_name in (("config", dict, "object"), ("base_sha256", str, "string"),
+                                 ("step", int, "integer"), ("metrics", dict, "object")):
         if type(manifest.get(key)) is not kind:  # type, not isinstance: a JSON true is no step
             got = repr(manifest[key]) if key in manifest else "nothing"
-            raise ValueError(f"checkpoint {key} must be a JSON {'integer' if kind is int else 'object'}, got {got}")
-    config = ModelConfig.from_dict(manifest["config"])
-    model = DecoderModel.build(config)
-    tensors = _all_tensors(model)
-    retired = {"lnf_g": 1.0, "lnf_b": 0.0}
-    retired.update((f"block{i}.{name}", c) for i in range(config.n_blocks) for name, c in _RETIRED.items())
-    missing = sorted(set(tensors) - set(manifest["tensors"]))
-    if missing:
-        raise ValueError(f"checkpoint lacks model tensors {missing}")
-    for name, entry in manifest["tensors"].items():
-        if not (isinstance(entry, dict) and isinstance(entry.get("file"), str)):
-            raise ValueError(f"checkpoint tensor {name!r} must be listed as a JSON object with a string \"file\", got {entry!r}")
-        if name not in tensors and name not in retired:
-            raise ValueError(f"checkpoint tensor {name!r} has no slot in the model")
-        loaded = load_tensor(directory / entry["file"])
-        if name in retired:
-            if not np.all(loaded == retired[name]):
-                raise ValueError(f"checkpoint tensor {name!r} must hold only {retired[name]}, as the model no longer has it")
-            continue
-        if loaded.shape != tensors[name].shape:
-            raise ShapeError(
-                f"checkpoint tensor {name} has shape {loaded.shape}, expected {tensors[name].shape}"
-            )
-        tensors[name][...] = loaded
+            raise ValueError(f"checkpoint {key} must be a JSON {kind_name}, got {got}")
+    model = DecoderModel.build(ModelConfig.from_dict(manifest["config"]))
+    if manifest["base_sha256"] != _base_sha256(model):
+        raise ValueError("checkpoint base_sha256 does not match the frozen base its config draws with this NumPy")
+    for name, t in model.trainable_tensors().items():
+        path = directory / f"fusion_{name}.admt"
+        try:
+            loaded = load_tensor(path)
+        except FileNotFoundError:
+            raise ValueError(f"checkpoint lacks trained tensor {name!r}: no file {path.name}") from None
+        except ValueError as exc:
+            raise ValueError(f"checkpoint tensor {name!r} in {path.name}: {exc}") from exc
+        if loaded.shape != t.shape:
+            raise ShapeError(f"checkpoint tensor {name!r} has shape {loaded.shape}, expected {t.shape}")
+        t[...] = loaded
     return model, manifest["step"], manifest["metrics"]

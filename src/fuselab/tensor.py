@@ -19,6 +19,7 @@ inputs produce bit-identical outputs.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -217,7 +218,7 @@ def tensor_from_bytes(blob: bytes) -> np.ndarray:
     if len(blob) < offset:
         raise ValueError(f"{len(blob)} bytes end inside the {offset}-byte header and dims of a rank-{rank} tensor")
     dims = struct.unpack_from(f"<{rank}Q", blob, 6)
-    count = int(np.prod(dims))
+    count = math.prod(dims)  # exact: a header's dims may multiply past 2**64
     expected = offset + 8 * count
     if len(blob) != expected:
         raise ValueError(f"payload length {len(blob)} != expected {expected} for dims {dims}")

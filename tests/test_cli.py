@@ -51,11 +51,6 @@ class TestFlopsCommand:
         assert payload["flops_param_free"] == 2 * 2 * 3 * 4
         assert payload["ratio"]["float"] > 1
 
-    def test_bench_records_timings(self, capsys):
-        assert main(["flops", "--L", "4", "--N", "4", "--d", "8", "--bench", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert set(payload["measured_ns"]) == {"standard", "param_free"}
-
     def test_invalid_dims_structured_error(self, capsys):
         assert main(["flops", "--L", "0", "--N", "3", "--d", "4"]) == 1
         err = json.loads(capsys.readouterr().err)
@@ -187,9 +182,9 @@ class TestAblateCommand:
         assert err.value.code == 2
 
 
-def _cut_embed(m, ck):
-    """Cut the embedding's tensor file inside its dims."""
-    path = ck / m["tensors"]["embed"]["file"]
+def _cut_a_feat(m, ck):
+    """Cut a_feat's tensor file inside its dims."""
+    path = ck / "fusion_a_feat.admt"
     path.write_bytes(path.read_bytes()[:9])
     return m
 
@@ -252,20 +247,17 @@ class TestHeatmapCommand:
         (lambda m, _: {**m, "config": {**m["config"], "n_heads": 4}}, "n_heads"),
         (lambda m, _: [m], "manifest must be a JSON object"),
         (lambda m, _: {**m, "config": 5}, "config must be a JSON object"),
-        (lambda m, _: {**m, "tensors": {**m["tensors"], "embed": "embed.admt"}},
-         "'embed' must be listed as a JSON object"),
+        (lambda m, _: {**m, "format": 1}, "checkpoint format 1 cannot be read; this version reads format 2"),
+        (lambda m, _: {k: v for k, v in m.items() if k != "base_sha256"},
+         "base_sha256 must be a JSON string, got nothing"),
         (lambda m, _: {**m, "metrics": 5}, "metrics must be a JSON object"),
         (lambda m, _: {**m, "metrics": None}, "metrics must be a JSON object"),
-        (lambda m, _: {**m, "tensors": {**m["tensors"], "embed": {**m["tensors"]["embed"], "file": 7}}},
-         "'embed' must be listed as a JSON object with a string \"file\""),
-        (lambda m, _: {**m, "tensors": {**m["tensors"], "embed": {"shape": m["tensors"]["embed"]["shape"]}}},
-         "'embed' must be listed as a JSON object with a string \"file\""),
+        (lambda m, _: {**m, "base_sha256": 7}, "base_sha256 must be a JSON string, got 7"),
+        (lambda m, _: {**m, "base_sha256": "0" * 64}, "base_sha256 does not match"),
         (lambda m, _: {k: v for k, v in m.items() if k != "step"}, "step must be a JSON integer, got nothing"),
-        (_cut_embed, "9 bytes end inside the 22-byte header"),
-        (lambda m, _: {**m, "tensors": {**m["tensors"], "fusion.extra": {"file": "fusion_extra.admt"}}},
-         "checkpoint tensor 'fusion.extra' has no slot in the model"),
-    ], ids=["unknown-config-key", "list", "numeric-config", "string-tensor-entry", "numeric-metrics", "null-metrics",
-            "numeric-file", "entry-without-file", "no-step", "truncated-tensor-file", "extra-entry-without-file"])
+        (_cut_a_feat, "checkpoint tensor 'a_feat' in fusion_a_feat.admt: 9 bytes end inside the 22-byte header"),
+    ], ids=["unknown-config-key", "list", "numeric-config", "format-1", "no-digest", "numeric-metrics", "null-metrics",
+            "numeric-digest", "other-digest", "no-step", "truncated-tensor-file"])
     def test_malformed_manifest_structured_error(self, edit, message, tmp_path, capsys):
         save_checkpoint(tmp_path / "ck", DecoderModel.build(ModelConfig()))
         mpath = tmp_path / "ck" / "manifest.json"
@@ -297,6 +289,13 @@ class TestDumpPromptCommand:
     def test_custom_scales(self, capsys):
         assert main(["dump-prompt", "--seed", "0", "--scales", "1", "4"]) == 0
         assert "272 rows" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("channels", ["0", "-2"])
+    def test_channels_below_one_structured_error(self, channels, capsys):
+        assert main(["dump-prompt", "--channels", channels]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["message"] == f"--channels must be at least 1, got {channels}"
 
 
 class TestNegativeSeed:

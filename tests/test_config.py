@@ -3,7 +3,6 @@
 import json
 from dataclasses import fields
 
-import numpy as np
 import pytest
 
 from fuselab.experiment import ExperimentConfig
@@ -108,23 +107,3 @@ def test_unrunnable_task_rejected_at_construction(bad, message):
         ExperimentConfig(**bad)
     with pytest.raises(ValueError, match=message):
         ExperimentConfig.from_dict(bad)
-
-
-def test_manifest_without_format_loads_bit_identical(tmp_path):
-    """A manifest from before the format key reads as format 1."""
-    model = DecoderModel.build(ModelConfig(d_model=8, d_in=4, rank=2, scales=(4,), seed=5))
-    model.fusion.b_feat[:] = np.random.default_rng(1).normal(size=model.fusion.b_feat.shape)
-    save_checkpoint(tmp_path / "ck", model, step=3, metrics={"final_accuracy": 0.25})
-    manifest_path = tmp_path / "ck" / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    assert manifest.pop("format") == 1
-    assert list(manifest) == ["config", "step", "metrics", "tensors"]
-    manifest_path.write_text(json.dumps(manifest, indent=2))
-    back, step, metrics = load_checkpoint(tmp_path / "ck")
-    assert (step, metrics) == (3, {"final_accuracy": 0.25})
-    assert back.config.to_dict() == {**MODEL_DEFAULT, "d_model": 8, "d_in": 4, "rank": 2, "scales": [4], "seed": 5}
-    before = {**model.base_tensors(), **model.trainable_tensors()}
-    after = {**back.base_tensors(), **back.trainable_tensors()}
-    assert before.keys() == after.keys()
-    for name in before:
-        assert before[name].tobytes() == after[name].tobytes(), name

@@ -396,85 +396,52 @@ class TestCheckpoint:
         b = back.forward(tokens, feats, cls_raw)
         assert a.tobytes() == b.tobytes()
 
-    def test_manifest_lists_every_tensor(self, tmp_path):
-        import json
-
-        model = DecoderModel.build(tiny_config())
+    def test_default_checkpoint_holds_five_trained_tensors_and_no_paths(self, tmp_path):
+        model = DecoderModel.build(ModelConfig())
         save_checkpoint(tmp_path / "ck", model)
+        names = sorted(path.name for path in (tmp_path / "ck").glob("*.admt"))
+        assert names == sorted(f"fusion_{name}.admt" for name in model.trainable_tensors())
+        assert len(names) == 5
         manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
-        n_expected = len(model.base_tensors()) + len(model.trainable_tensors())
-        assert len(manifest["tensors"]) == n_expected
-        for entry in manifest["tensors"].values():
-            assert (tmp_path / "ck" / entry["file"]).exists()
+        assert list(manifest) == ["format", "config", "base_sha256", "step", "metrics"]
+        assert manifest["format"] == 2 and len(manifest["base_sha256"]) == 64
+
+    @staticmethod
+    def edit_manifest(directory, edit):
+        mpath = directory / "manifest.json"
+        mpath.write_text(json.dumps(edit(json.loads(mpath.read_text()))))
 
     def test_shape_mismatch_detected(self, tmp_path):
-        model = DecoderModel.build(tiny_config())
-        save_checkpoint(tmp_path / "ck", model)
-        import json
+        save_checkpoint(tmp_path / "ck", DecoderModel.build(tiny_config()))
+        save_tensor(tmp_path / "ck" / "fusion_b_feat.admt", np.zeros((2, 16)))
+        with pytest.raises(ShapeError, match=re.escape("'b_feat' has shape (2, 16), expected (2, 8)")):
+            load_checkpoint(tmp_path / "ck")
 
-        mpath = tmp_path / "ck" / "manifest.json"
-        manifest = json.loads(mpath.read_text())
-        manifest["config"]["d_model"] = 16
-        mpath.write_text(json.dumps(manifest))
-        with pytest.raises(ShapeError):
+    @pytest.mark.parametrize("edit", [lambda c: {**c, "d_model": 16}, lambda c: {**c, "seed": 1}],
+                             ids=["wider-base", "other-seed"])
+    def test_config_drawing_another_base_detected(self, tmp_path, edit):
+        save_checkpoint(tmp_path / "ck", DecoderModel.build(tiny_config()))
+        self.edit_manifest(tmp_path / "ck", lambda m: {**m, "config": edit(m["config"])})
+        with pytest.raises(ValueError, match="base_sha256 does not match"):
             load_checkpoint(tmp_path / "ck")
 
     def test_missing_tensor_rejected(self, tmp_path):
-        import json
-
-        model = awaken(DecoderModel.build(tiny_config()))
-        save_checkpoint(tmp_path / "ck", model)
-        mpath = tmp_path / "ck" / "manifest.json"
-        manifest = json.loads(mpath.read_text())
-        del manifest["tensors"]["fusion.b_feat"]
-        mpath.write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="fusion.b_feat"):
+        save_checkpoint(tmp_path / "ck", awaken(DecoderModel.build(tiny_config())))
+        (tmp_path / "ck" / "fusion_b_feat.admt").unlink()
+        with pytest.raises(ValueError, match="lacks trained tensor 'b_feat'"):
             load_checkpoint(tmp_path / "ck")
 
-    @staticmethod
-    def with_retired_constants(directory, model, values):
-        """List the 14 constants earlier checkpoints also wrote, each holding its constant unless values says."""
-        d = model.config.d_model
-        mpath = directory / "manifest.json"
-        manifest = json.loads(mpath.read_text())
-        retired = {"lnf_g": (1.0, d), "lnf_b": (0.0, d)}
-        for i in range(model.config.n_blocks):
-            for name, fill, width in (("ln1_g", 1.0, d), ("ln1_b", 0.0, d), ("b_mlp1", 0.0, 4 * d),
-                                      ("b_mlp2", 0.0, d), ("ln2_g", 1.0, d), ("ln2_b", 0.0, d)):
-                retired[f"block{i}.{name}"] = (fill, width)
-        for name, (fill, width) in retired.items():
-            fname = name.replace(".", "_") + ".admt"
-            save_tensor(directory / fname, values.get(name, np.full(width, fill)))
-            manifest["tensors"][name] = {"file": fname, "shape": [width]}
-        mpath.write_text(json.dumps(manifest))
-        return len(manifest["tensors"])
-
-    def test_checkpoint_listing_retired_constants_loads_bit_exact(self, tmp_path):
+    def test_manifest_paths_are_never_opened(self, tmp_path):
+        """A listing of files, as format 1 wrote it, cannot point a load outside the checkpoint."""
         model = awaken(DecoderModel.build(tiny_config()))
         save_checkpoint(tmp_path / "ck", model)
-        assert len(list((tmp_path / "ck").glob("*.admt"))) == 19
-        assert self.with_retired_constants(tmp_path / "ck", model, {"block1.ln2_b": np.full(8, -0.0)}) == 33
+        save_tensor(tmp_path / "outside.admt", np.ones_like(model.fusion.b_feat))
+        self.edit_manifest(tmp_path / "ck", lambda m: {**m, "tensors": {"fusion.b_feat": {"file": "../outside.admt"}}})
         back, _, _ = load_checkpoint(tmp_path / "ck")
-        tokens, feats, cls_raw, _ = tiny_inputs(12)
-        assert model.forward(tokens, feats, cls_raw).tobytes() == back.forward(tokens, feats, cls_raw).tobytes()
-
-    @pytest.mark.parametrize("name, value", [("lnf_g", np.zeros(8)), ("block1.b_mlp1", np.full(32, 1e-300)),
-                                             ("block0.ln1_g", np.array([1.0, np.nan]))])
-    def test_retired_constant_of_another_value_rejected(self, tmp_path, name, value):
-        model = DecoderModel.build(tiny_config())
-        save_checkpoint(tmp_path / "ck", model)
-        self.with_retired_constants(tmp_path / "ck", model, {name: value})
-        with pytest.raises(ValueError, match=re.escape(f"checkpoint tensor '{name}' must hold only")):
-            load_checkpoint(tmp_path / "ck")
+        assert back.fusion.b_feat.tobytes() == model.fusion.b_feat.tobytes()
 
     def test_other_format_rejected(self, tmp_path):
-        import json
-
         save_checkpoint(tmp_path / "ck", DecoderModel.build(tiny_config()))
-        mpath = tmp_path / "ck" / "manifest.json"
-        manifest = json.loads(mpath.read_text())
-        assert manifest["format"] == 1
-        manifest["format"] = 2
-        mpath.write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="format 2 cannot be read; this version reads format 1"):
+        self.edit_manifest(tmp_path / "ck", lambda m: {**m, "format": 1})
+        with pytest.raises(ValueError, match="format 1 cannot be read; this version reads format 2"):
             load_checkpoint(tmp_path / "ck")

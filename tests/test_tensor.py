@@ -291,6 +291,11 @@ class TestBinaryFormat:
             with pytest.raises(ValueError, match=message):
                 tensor_from_bytes(blob[:cut])
 
+    def test_dims_whose_product_overflows_64_bits_rejected(self):
+        blob = MAGIC + bytes([FORMAT_VERSION, 2]) + (2**32).to_bytes(8, "little") * 2
+        with pytest.raises(ValueError, match=f"payload length 22 != expected {22 + 8 * 2**64}"):
+            tensor_from_bytes(blob)
+
     @pytest.mark.parametrize("rank", [0, 4])
     def test_rank_outside_range_rejected(self, rank):
         blob = bytearray(tensor_to_bytes(np.zeros(3)))
