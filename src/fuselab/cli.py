@@ -21,6 +21,7 @@ import numpy as np
 
 from .data import gen_dataset
 from .experiment import (
+    ABLATION_AXES,
     ExperimentConfig,
     ablate,
     drop_heatmap,
@@ -154,6 +155,8 @@ def _cmd_heatmap(args) -> int:
 def _cmd_dump_prompt(args) -> int:
     if args.channels < 1:
         raise ValueError(f"--channels must be at least 1, got {args.channels}")
+    if args.d_in < args.channels:
+        raise ValueError(f"--d-in must be at least --channels ({args.channels}), got {args.d_in}")
     seed = _seed(args.seed)
     rng = np.random.default_rng(seed)
     image = np.eye(args.channels)[rng.integers(0, args.channels, size=(16, 16))]
@@ -197,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("ablate", help="sweep one configuration axis")
-    p.add_argument("--axis", required=True, choices=["projection", "placement", "pooling", "alpha", "beta", "gamma"])
+    p.add_argument("--axis", required=True, choices=list(ABLATION_AXES))
     p.add_argument("--config", help="base JSON config for every run in the sweep")
     p.add_argument("--seed", type=int, default=0, help="base seed; run i uses seed+i")
     p.add_argument("--steps", type=int, help="override training steps for quick sweeps")

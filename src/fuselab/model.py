@@ -513,11 +513,11 @@ class DecoderModel:
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: a JSON manifest plus one binary tensor file per trained tensor;
+# checkpoints: a JSON manifest plus one .npy file per trained tensor;
 # the frozen base is drawn again from the config and checked by its digest
 
 MANIFEST_NAME = "manifest.json"
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 
 
 def _base_sha256(model: DecoderModel) -> str:
@@ -534,7 +534,7 @@ def save_checkpoint(directory, model: DecoderModel, *, step: int = 0, metrics: d
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for name, t in model.trainable_tensors().items():
-        save_tensor(directory / f"fusion_{name}.admt", t)
+        save_tensor(directory / f"fusion_{name}.npy", t)
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "config": model.config.to_dict(),
@@ -570,7 +570,7 @@ def load_checkpoint(directory):
     if manifest["base_sha256"] != _base_sha256(model):
         raise ValueError("checkpoint base_sha256 does not match the frozen base its config draws with this NumPy")
     for name, t in model.trainable_tensors().items():
-        path = directory / f"fusion_{name}.admt"
+        path = directory / f"fusion_{name}.npy"
         try:
             loaded = load_tensor(path)
         except FileNotFoundError:

@@ -141,7 +141,7 @@ def expected_cls(channels: int, d_out: int, seed: int) -> np.ndarray:
 
 
 def save_prompt(path, features: np.ndarray, scales, pool: str) -> None:
-    """Write pooled features in the binary tensor format plus a JSON metadata sidecar.
+    """Write pooled features as a `.npy` file plus a JSON metadata sidecar.
 
     The sidecar names the pool and, per prompt row, its scale and its
     (row, col) cell on that scale's grid, as `scale_layout(scales)` lays

@@ -1,13 +1,13 @@
 """Dense float64 tensor kernels shared by every other module.
 
-All values are plain numpy arrays of dtype float64; `as_tensor` and the
-binary on-disk tensor format used by the CLI and checkpoints hold rank
-1-3.  The helpers here add strict shape checking, the activation kernels
-used as similarity projections, and the 2-D pooling kernels.  The kernels
-take leading batch axes: activations act per sample -- softmax_rows over
-the last axis, silu_positive's shift over the last two -- so a batch
-(B, L, d) behaves like B rank-2 calls, and pooling acts on the trailing
-(h, w, c) grid of each sample.
+All values are plain numpy arrays of dtype float64, stored on disk as
+NumPy `.npy` files by `save_tensor` and `load_tensor`.  The helpers here
+add strict shape checking, the activation kernels used as similarity
+projections, and the 2-D pooling kernels.  The kernels take leading
+batch axes: activations act per sample -- softmax_rows over the last
+axis, silu_positive's shift over the last two -- so a batch (B, L, d)
+behaves like B rank-2 calls, and pooling acts on the trailing (h, w, c)
+grid of each sample.
 
 `TILE_BYTES` and `sample_tiles` are the one tiling rule (the model
 docstring says why): the model tiles its visual side by it, batch
@@ -19,16 +19,11 @@ inputs produce bit-identical outputs.
 
 from __future__ import annotations
 
-import math
-import struct
-
 import numpy as np
 
 # One precision everywhere: desk-scale sizes make float64 cheap, and the
 # finite-difference gradient checks need the headroom.
 FLOAT = np.float64
-
-MAX_RANK = 3
 
 TILE_BYTES = 1 << 20  # most bytes of one tile's array; see the module docstring
 
@@ -44,14 +39,6 @@ ACTIVATIONS = (
 
 class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""
-
-
-def as_tensor(values) -> np.ndarray:
-    """Coerce nested lists / arrays to a C-contiguous float64 array of rank 1-3."""
-    arr = np.asarray(values, dtype=FLOAT)
-    if arr.ndim == 0 or arr.ndim > MAX_RANK:
-        raise ShapeError(f"rank must be 1..{MAX_RANK}, got shape {arr.shape}")
-    return np.ascontiguousarray(arr)
 
 
 def sample_tiles(batch: int, sample_bytes: int) -> list[slice]:
@@ -185,52 +172,21 @@ def max_pool2d(grid: np.ndarray, k: int) -> np.ndarray:
     return _pool_windows(grid, k).max(axis=(-4, -2))
 
 
-# --- binary tensor file format -------------------------------------------
-#
-#   magic  4 bytes  "ADMT"
-#   version u8      1
-#   rank    u8
-#   dims    rank x u64 little-endian
-#   payload float64 little-endian, row-major
-
-MAGIC = b"ADMT"
-FORMAT_VERSION = 1
-
-
-def tensor_to_bytes(x: np.ndarray) -> bytes:
-    x = as_tensor(x)
-    header = MAGIC + struct.pack("<BB", FORMAT_VERSION, x.ndim)
-    dims = struct.pack(f"<{x.ndim}Q", *x.shape)
-    return header + dims + x.astype("<f8").tobytes(order="C")
-
-
-def tensor_from_bytes(blob: bytes) -> np.ndarray:
-    if blob[:4] != MAGIC:
-        raise ValueError(f"bad magic {blob[:4]!r}; expected {MAGIC!r}")
-    if len(blob) < 6:
-        raise ValueError(f"{len(blob)} bytes end inside the 6-byte header")
-    version, rank = blob[4], blob[5]
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported tensor format version {version}")
-    if rank < 1 or rank > MAX_RANK:
-        raise ValueError(f"rank {rank} outside supported range 1..{MAX_RANK}")
-    offset = 6 + 8 * rank
-    if len(blob) < offset:
-        raise ValueError(f"{len(blob)} bytes end inside the {offset}-byte header and dims of a rank-{rank} tensor")
-    dims = struct.unpack_from(f"<{rank}Q", blob, 6)
-    count = math.prod(dims)  # exact: a header's dims may multiply past 2**64
-    expected = offset + 8 * count
-    if len(blob) != expected:
-        raise ValueError(f"payload length {len(blob)} != expected {expected} for dims {dims}")
-    data = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-    return as_tensor(data.reshape(dims))
-
-
 def save_tensor(path, x: np.ndarray) -> None:
+    """Write x as a float64 `.npy` file at exactly path (np.save on a bare path would append `.npy`)."""
     with open(path, "wb") as fh:
-        fh.write(tensor_to_bytes(x))
+        np.save(fh, np.asarray(x, dtype=FLOAT), allow_pickle=False)
 
 
 def load_tensor(path) -> np.ndarray:
+    """Read a `.npy` file of 8-byte floats, in either byte order, as float64; ValueError for anything else."""
     with open(path, "rb") as fh:
-        return tensor_from_bytes(fh.read())
+        try:
+            x = np.load(fh, allow_pickle=False)
+        except EOFError:
+            raise ValueError("empty file; expected a .npy array") from None
+    if not isinstance(x, np.ndarray):
+        raise ValueError("an .npz archive, not a .npy array")
+    if x.dtype.kind != "f" or x.dtype.itemsize != 8:
+        raise ValueError(f"dtype {x.dtype} is not an 8-byte float")
+    return x.astype(FLOAT, copy=False)

@@ -11,7 +11,6 @@ from fuselab.cli import build_parser, main
 from fuselab.data import gen_dataset
 from fuselab.experiment import drop_heatmap
 from fuselab.model import DecoderModel, ModelConfig, load_checkpoint, save_checkpoint
-from fuselab.tensor import load_tensor
 
 from .test_config import MISTYPED, MISTYPED_IDS
 
@@ -183,8 +182,8 @@ class TestAblateCommand:
 
 
 def _cut_a_feat(m, ck):
-    """Cut a_feat's tensor file inside its dims."""
-    path = ck / "fusion_a_feat.admt"
+    """Cut a_feat's tensor file inside its header's length field."""
+    path = ck / "fusion_a_feat.npy"
     path.write_bytes(path.read_bytes()[:9])
     return m
 
@@ -247,7 +246,8 @@ class TestHeatmapCommand:
         (lambda m, _: {**m, "config": {**m["config"], "n_heads": 4}}, "n_heads"),
         (lambda m, _: [m], "manifest must be a JSON object"),
         (lambda m, _: {**m, "config": 5}, "config must be a JSON object"),
-        (lambda m, _: {**m, "format": 1}, "checkpoint format 1 cannot be read; this version reads format 2"),
+        (lambda m, _: {**m, "format": 1}, "checkpoint format 1 cannot be read; this version reads format 3"),
+        (lambda m, _: {**m, "format": 2}, "checkpoint format 2 cannot be read; this version reads format 3"),
         (lambda m, _: {k: v for k, v in m.items() if k != "base_sha256"},
          "base_sha256 must be a JSON string, got nothing"),
         (lambda m, _: {**m, "metrics": 5}, "metrics must be a JSON object"),
@@ -255,8 +255,8 @@ class TestHeatmapCommand:
         (lambda m, _: {**m, "base_sha256": 7}, "base_sha256 must be a JSON string, got 7"),
         (lambda m, _: {**m, "base_sha256": "0" * 64}, "base_sha256 does not match"),
         (lambda m, _: {k: v for k, v in m.items() if k != "step"}, "step must be a JSON integer, got nothing"),
-        (_cut_a_feat, "checkpoint tensor 'a_feat' in fusion_a_feat.admt: 9 bytes end inside the 22-byte header"),
-    ], ids=["unknown-config-key", "list", "numeric-config", "format-1", "no-digest", "numeric-metrics", "null-metrics",
+        (_cut_a_feat, "checkpoint tensor 'a_feat' in fusion_a_feat.npy: EOF: reading array header length"),
+    ], ids=["unknown-config-key", "list", "numeric-config", "format-1", "format-2", "no-digest", "numeric-metrics", "null-metrics",
             "numeric-digest", "other-digest", "no-step", "truncated-tensor-file"])
     def test_malformed_manifest_structured_error(self, edit, message, tmp_path, capsys):
         save_checkpoint(tmp_path / "ck", DecoderModel.build(ModelConfig()))
@@ -273,12 +273,12 @@ class TestHeatmapCommand:
 
 class TestDumpPromptCommand:
     def test_prints_summary_and_saves(self, tmp_path, capsys):
-        out = tmp_path / "prompt.admt"
+        out = tmp_path / "prompt.npy"
         assert main(["dump-prompt", "--seed", "5", "--out", str(out)]) == 0
         stdout = capsys.readouterr().out
         assert "320 rows" in stdout
-        assert load_tensor(out).shape == (320, 32)
-        sidecar = json.loads(out.with_suffix(".admt.json").read_text())
+        assert np.load(out, allow_pickle=False).shape == (320, 32)
+        sidecar = json.loads(out.with_suffix(".npy.json").read_text())
         assert sidecar["scale_of_row"] == [1] * 256 + [2] * 64
 
     def test_env_seed_override(self, capsys, monkeypatch):
@@ -296,6 +296,13 @@ class TestDumpPromptCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["message"] == f"--channels must be at least 1, got {channels}"
+
+    @pytest.mark.parametrize("channels, d_in", [("8", "0"), ("8", "-1"), ("8", "7"), ("12", "8")])
+    def test_d_in_below_channels_structured_error(self, channels, d_in, capsys):
+        assert main(["dump-prompt", "--channels", channels, "--d-in", d_in]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["message"] == f"--d-in must be at least --channels ({channels}), got {d_in}"
 
 
 class TestNegativeSeed:

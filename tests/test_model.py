@@ -399,12 +399,19 @@ class TestCheckpoint:
     def test_default_checkpoint_holds_five_trained_tensors_and_no_paths(self, tmp_path):
         model = DecoderModel.build(ModelConfig())
         save_checkpoint(tmp_path / "ck", model)
-        names = sorted(path.name for path in (tmp_path / "ck").glob("*.admt"))
-        assert names == sorted(f"fusion_{name}.admt" for name in model.trainable_tensors())
-        assert len(names) == 5
+        names = sorted(path.name for path in (tmp_path / "ck").iterdir())
+        assert names == sorted(["manifest.json", *(f"fusion_{name}.npy" for name in model.trainable_tensors())])
+        assert len(names) == 6
         manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
         assert list(manifest) == ["format", "config", "base_sha256", "step", "metrics"]
-        assert manifest["format"] == 2 and len(manifest["base_sha256"]) == 64
+        assert manifest["format"] == 3 and len(manifest["base_sha256"]) == 64
+
+    def test_tensor_files_read_with_plain_numpy(self, tmp_path):
+        model = awaken(DecoderModel.build(tiny_config()))
+        save_checkpoint(tmp_path / "ck", model)
+        for name, t in model.trainable_tensors().items():
+            loaded = np.load(tmp_path / "ck" / f"fusion_{name}.npy", allow_pickle=False)
+            assert loaded.dtype == np.float64 and loaded.tobytes() == t.tobytes(), name
 
     @staticmethod
     def edit_manifest(directory, edit):
@@ -413,7 +420,7 @@ class TestCheckpoint:
 
     def test_shape_mismatch_detected(self, tmp_path):
         save_checkpoint(tmp_path / "ck", DecoderModel.build(tiny_config()))
-        save_tensor(tmp_path / "ck" / "fusion_b_feat.admt", np.zeros((2, 16)))
+        save_tensor(tmp_path / "ck" / "fusion_b_feat.npy", np.zeros((2, 16)))
         with pytest.raises(ShapeError, match=re.escape("'b_feat' has shape (2, 16), expected (2, 8)")):
             load_checkpoint(tmp_path / "ck")
 
@@ -427,7 +434,7 @@ class TestCheckpoint:
 
     def test_missing_tensor_rejected(self, tmp_path):
         save_checkpoint(tmp_path / "ck", awaken(DecoderModel.build(tiny_config())))
-        (tmp_path / "ck" / "fusion_b_feat.admt").unlink()
+        (tmp_path / "ck" / "fusion_b_feat.npy").unlink()
         with pytest.raises(ValueError, match="lacks trained tensor 'b_feat'"):
             load_checkpoint(tmp_path / "ck")
 
@@ -435,13 +442,14 @@ class TestCheckpoint:
         """A listing of files, as format 1 wrote it, cannot point a load outside the checkpoint."""
         model = awaken(DecoderModel.build(tiny_config()))
         save_checkpoint(tmp_path / "ck", model)
-        save_tensor(tmp_path / "outside.admt", np.ones_like(model.fusion.b_feat))
-        self.edit_manifest(tmp_path / "ck", lambda m: {**m, "tensors": {"fusion.b_feat": {"file": "../outside.admt"}}})
+        save_tensor(tmp_path / "outside.npy", np.ones_like(model.fusion.b_feat))
+        self.edit_manifest(tmp_path / "ck", lambda m: {**m, "tensors": {"fusion.b_feat": {"file": "../outside.npy"}}})
         back, _, _ = load_checkpoint(tmp_path / "ck")
         assert back.fusion.b_feat.tobytes() == model.fusion.b_feat.tobytes()
 
     def test_other_format_rejected(self, tmp_path):
         save_checkpoint(tmp_path / "ck", DecoderModel.build(tiny_config()))
-        self.edit_manifest(tmp_path / "ck", lambda m: {**m, "format": 1})
-        with pytest.raises(ValueError, match="format 1 cannot be read; this version reads format 2"):
-            load_checkpoint(tmp_path / "ck")
+        for old in (1, 2):
+            self.edit_manifest(tmp_path / "ck", lambda m: {**m, "format": old})
+            with pytest.raises(ValueError, match=f"format {old} cannot be read; this version reads format 3"):
+                load_checkpoint(tmp_path / "ck")

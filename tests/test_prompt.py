@@ -80,9 +80,9 @@ def subsets_of_scales():
 
 def sidecar(tmp_path, features, scales, pool="avg"):
     """The row metadata save_prompt writes next to the features, as arrays."""
-    path = tmp_path / "prompt.admt"
+    path = tmp_path / "prompt.npy"
     save_prompt(path, features, scales, pool)
-    meta = json.loads(path.with_suffix(".admt.json").read_text())
+    meta = json.loads(path.with_suffix(".npy.json").read_text())
     return np.array(meta["scale_of_row"]), np.array(meta["grid_pos_of_row"]).reshape(-1, 2)
 
 
@@ -167,15 +167,15 @@ class TestBuildPrompt:
             with pytest.raises(ValueError):
                 pool_scales(grid, scales, pool)
             with pytest.raises(ValueError):
-                save_prompt(tmp_path / "bad.admt", features, scales, pool)
+                save_prompt(tmp_path / "bad.npy", features, scales, pool)
         assert not any(tmp_path.iterdir())
 
     def test_metadata_length_validated(self, tmp_path):
         """The sidecar's rows must describe the features: save_prompt refuses a mismatch and writes nothing."""
         with pytest.raises(ShapeError):
-            save_prompt(tmp_path / "prompt.admt", np.zeros((10, 4)), (4,), "avg")
+            save_prompt(tmp_path / "prompt.npy", np.zeros((10, 4)), (4,), "avg")
         with pytest.raises(ShapeError):
-            save_prompt(tmp_path / "prompt.admt", np.zeros(16), (4,), "avg")
+            save_prompt(tmp_path / "prompt.npy", np.zeros(16), (4,), "avg")
         assert not any(tmp_path.iterdir())
 
 
@@ -183,11 +183,11 @@ class TestPromptSerialization:
     def test_roundtrip(self, tmp_path):
         patches, _ = synthetic_encoder(one_hot_image(6), 32, seed=9)
         features = pool_scales(patches.reshape(GRID, GRID, 32), (1, 4), "max")
-        path = tmp_path / "prompt.admt"
+        path = tmp_path / "prompt.npy"
         save_prompt(path, features, (1, 4), "max")
-        assert path.exists() and path.with_suffix(".admt.json").exists()
+        assert path.exists() and path.with_suffix(".npy.json").exists()
         np.testing.assert_array_equal(load_tensor(path), features)
-        meta = json.loads(path.with_suffix(".admt.json").read_text())
+        meta = json.loads(path.with_suffix(".npy.json").read_text())
         assert list(meta) == ["pool", "scale_of_row", "grid_pos_of_row"]
         assert meta["pool"] == "max"
         assert meta["scale_of_row"] == [1] * 256 + [4] * 16

@@ -1,6 +1,8 @@
 """Tests for the float64 tensor layer: ops, activations, pooling, file format."""
 
+import io
 import math
+import re
 import warnings
 
 import numpy as np
@@ -11,12 +13,9 @@ from hypothesis import strategies as st
 from fuselab.tensor import (
     ACTIVATIONS,
     FLOAT,
-    FORMAT_VERSION,
-    MAGIC,
     ShapeError,
     activation,
     activation_vjp,
-    as_tensor,
     avg_pool2d,
     load_tensor,
     max_pool2d,
@@ -24,8 +23,6 @@ from fuselab.tensor import (
     sigmoid,
     silu_grad,
     softmax_rows,
-    tensor_from_bytes,
-    tensor_to_bytes,
 )
 
 from .oracles import (
@@ -48,13 +45,13 @@ def rng(seed=0):
 
 class TestActivations:
     def test_silu_zero(self):
-        assert activation(as_tensor([0.0]), "silu")[0][0] == 0.0
+        assert activation(np.asarray([0.0], dtype=FLOAT), "silu")[0][0] == 0.0
 
     def test_silu_one(self):
-        assert abs(activation(as_tensor([1.0]), "silu")[0][0] - SILU_AT_ONE) < 1e-6
+        assert abs(activation(np.asarray([1.0], dtype=FLOAT), "silu")[0][0] - SILU_AT_ONE) < 1e-6
 
     def test_softmax_symmetry(self):
-        np.testing.assert_array_equal(softmax_rows(as_tensor([[0.0, 0.0]])), [[0.5, 0.5]])
+        np.testing.assert_array_equal(softmax_rows(np.asarray([[0.0, 0.0]], dtype=FLOAT)), [[0.5, 0.5]])
 
     def test_softmax_requires_rank_2(self):
         with pytest.raises(ShapeError):
@@ -67,7 +64,7 @@ class TestActivations:
         np.testing.assert_allclose(softmax_rows(x).sum(axis=1), 1.0, atol=1e-12)
 
     def test_softmax_overflow_safe(self):
-        out = softmax_rows(as_tensor([[1000.0, 0.0]]))
+        out = softmax_rows(np.asarray([[1000.0, 0.0]], dtype=FLOAT))
         assert np.all(np.isfinite(out))
         assert out[0, 0] > 0.999
 
@@ -102,7 +99,7 @@ class TestActivations:
         assert np.all(np.diff(ys) >= 0)
 
     def test_sigmoid_extremes(self):
-        out = sigmoid(as_tensor([-1000.0, 0.0, 1000.0]))
+        out = sigmoid(np.asarray([-1000.0, 0.0, 1000.0], dtype=FLOAT))
         assert out[0] >= 0.0 and out[1] == 0.5 and out[2] <= 1.0
         assert np.all(np.isfinite(out))
 
@@ -206,7 +203,7 @@ class TestPooling:
             np.testing.assert_array_equal(max_pool2d(grid, k), np.full((8 // k, 8 // k, 3), 7.0))
 
     def test_hand_window(self):
-        grid = as_tensor([[1.0, 3.0], [5.0, 7.0]]).reshape(2, 2, 1)
+        grid = np.asarray([[1.0, 3.0], [5.0, 7.0]], dtype=FLOAT).reshape(2, 2, 1)
         np.testing.assert_array_equal(avg_pool2d(grid, 2), [[[4.0]]])
         np.testing.assert_array_equal(max_pool2d(grid, 2), [[[7.0]]])
 
@@ -232,15 +229,6 @@ class TestPooling:
             avg_pool2d(np.zeros((4, 4)), 2)
 
 
-class TestPlumbingOps:
-    def test_as_tensor_dtype_and_rank_cap(self):
-        assert as_tensor([1, 2]).dtype == FLOAT
-        with pytest.raises(ShapeError):
-            as_tensor(np.zeros((2, 2, 2, 2)))
-        with pytest.raises(ShapeError):
-            as_tensor(3.5)
-
-
 class TestDeterminism:
     def test_bit_identical_reruns(self):
         a = rng(14).normal(size=(16, 16))
@@ -250,58 +238,84 @@ class TestDeterminism:
         assert first.tobytes() == second.tobytes()
 
 
+def saved_bytes(save, *args, **kwargs) -> bytes:
+    """The bytes save(file, *args, **kwargs) writes to a file."""
+    buf = io.BytesIO()
+    save(buf, *args, **kwargs)
+    return buf.getvalue()
+
+
 class TestBinaryFormat:
-    def test_header_layout(self):
-        blob = tensor_to_bytes(np.zeros((2, 3)))
-        assert blob[:4] == MAGIC
-        assert blob[4] == FORMAT_VERSION
-        assert blob[5] == 2  # rank
-        assert int.from_bytes(blob[6:14], "little") == 2
-        assert int.from_bytes(blob[14:22], "little") == 3
+    """save_tensor writes a plain .npy file; load_tensor reads back 8-byte floats and nothing else."""
+
+    def test_header_layout(self, tmp_path):
+        path = tmp_path / "t.npy"
+        save_tensor(path, np.zeros((2, 3), dtype=np.float32))
+        with open(path, "rb") as fh:
+            assert np.lib.format.read_magic(fh) == (1, 0)
+            assert np.lib.format.read_array_header_1_0(fh) == ((2, 3), False, np.dtype("<f8"))
 
     @pytest.mark.parametrize("shape", [(5,), (3, 4), (2, 3, 4)])
-    def test_roundtrip(self, shape):
+    def test_roundtrip(self, shape, tmp_path):
         x = rng(16).normal(size=shape)
-        back = tensor_from_bytes(tensor_to_bytes(x))
-        assert back.shape == x.shape
-        np.testing.assert_array_equal(back, x)
+        save_tensor(tmp_path / "t.npy", x)
+        back = load_tensor(tmp_path / "t.npy")
+        assert back.dtype == FLOAT and back.shape == x.shape
+        assert back.tobytes() == x.tobytes()
 
     def test_file_roundtrip(self, tmp_path):
+        """The file lands at exactly the name given, whatever its suffix, and plain NumPy reads it."""
         x = rng(17).normal(size=(4, 7))
-        path = tmp_path / "t.admt"
+        path = tmp_path / "t.features"
         save_tensor(path, x)
+        assert [p.name for p in tmp_path.iterdir()] == ["t.features"]
         np.testing.assert_array_equal(load_tensor(path), x)
+        np.testing.assert_array_equal(np.load(path, allow_pickle=False), x)
 
-    def test_bad_magic_rejected(self):
-        blob = bytearray(tensor_to_bytes(np.zeros(3)))
-        blob[:4] = b"XXXX"
-        with pytest.raises(ValueError, match="magic"):
-            tensor_from_bytes(bytes(blob))
+    def test_big_endian_floats_read_as_float64(self, tmp_path):
+        x = rng(18).normal(size=(3, 2))
+        (tmp_path / "t.npy").write_bytes(saved_bytes(np.save, x.astype(">f8")))
+        back = load_tensor(tmp_path / "t.npy")
+        assert back.dtype == FLOAT and back.tobytes() == x.tobytes()
 
-    def test_bad_version_rejected(self):
-        blob = bytearray(tensor_to_bytes(np.zeros(3)))
-        blob[4] = 9
+    def test_bad_magic_rejected(self, tmp_path):
+        blob = bytearray(saved_bytes(np.save, np.zeros(3)))
+        blob[:6] = b"XXXXXX"
+        (tmp_path / "t.npy").write_bytes(bytes(blob))
+        with pytest.raises(ValueError):
+            load_tensor(tmp_path / "t.npy")
+
+    def test_bad_version_rejected(self, tmp_path):
+        blob = bytearray(saved_bytes(np.save, np.zeros(3)))
+        blob[6] = 9
+        (tmp_path / "t.npy").write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="version"):
-            tensor_from_bytes(bytes(blob))
+            load_tensor(tmp_path / "t.npy")
 
-    def test_truncated_payload_rejected(self):
-        # cut in the payload, in the 6-byte header, and in the dims of a rank-2 tensor's 22-byte header
-        blob = tensor_to_bytes(np.zeros((2, 2)))
-        for cut, message in ((-8, "payload length"), (4, "6-byte header"), (9, "22-byte header")):
-            with pytest.raises(ValueError, match=message):
-                tensor_from_bytes(blob[:cut])
+    def test_truncated_payload_rejected(self, tmp_path):
+        (tmp_path / "t.npy").write_bytes(saved_bytes(np.save, np.zeros((2, 2)))[:-8])
+        with pytest.raises(ValueError):
+            load_tensor(tmp_path / "t.npy")
 
-    def test_dims_whose_product_overflows_64_bits_rejected(self):
-        blob = MAGIC + bytes([FORMAT_VERSION, 2]) + (2**32).to_bytes(8, "little") * 2
-        with pytest.raises(ValueError, match=f"payload length 22 != expected {22 + 8 * 2**64}"):
-            tensor_from_bytes(blob)
+    @pytest.mark.parametrize("blob, message", [
+        (b"", "empty file"),
+        (saved_bytes(np.save, np.zeros((2, 2)))[:9], "array header length"),
+        (saved_bytes(np.save, np.zeros((2, 2)))[:40], "array header"),
+        (saved_bytes(np.savez, x=np.zeros(3)), ".npz archive"),
+        (saved_bytes(np.save, np.zeros(3, dtype=np.int64)), "dtype int64 is not an 8-byte float"),
+        (saved_bytes(np.save, np.zeros(3, dtype=np.float32)), "dtype float32 is not an 8-byte float"),
+        (saved_bytes(np.save, np.array([1.0, None]), allow_pickle=True), "allow_pickle=False"),
+    ], ids=["empty", "cut-header-length", "cut-header", "npz", "int64", "float32", "pickled-object"])
+    def test_not_float64_npy_rejected(self, blob, message, tmp_path):
+        (tmp_path / "t.npy").write_bytes(blob)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_tensor(tmp_path / "t.npy")
 
-    @pytest.mark.parametrize("rank", [0, 4])
-    def test_rank_outside_range_rejected(self, rank):
-        blob = bytearray(tensor_to_bytes(np.zeros(3)))
-        blob[5] = rank
-        with pytest.raises(ValueError, match="outside supported range"):
-            tensor_from_bytes(bytes(blob))
+    def test_dims_whose_product_overflows_64_bits_rejected(self, tmp_path):
+        (tmp_path / "t.npy").write_bytes(saved_bytes(np.lib.format.write_array_header_1_0,
+                                                     {"descr": "<f8", "fortran_order": False, "shape": (2**32, 2**32)}))
+        with pytest.raises(ValueError):
+            load_tensor(tmp_path / "t.npy")
 
 
 @settings(max_examples=50, deadline=None)
