@@ -24,7 +24,7 @@ from .fusion import drop_count
 from .model import LEGAL_PLACEMENTS, DecoderModel, FlatConfig, ModelConfig, answer_nll, save_checkpoint
 from .prompt import GRID, scale_layout
 from .tensor import ACTIVATIONS
-from .train import BASE_LR, KEY_GAIN, _batch_sums, align_visual_keys, train_model
+from .train import BASE_LR, KEY_GAIN, _batch_sums, _split, align_visual_keys, train_model
 
 HEATMAP_SAMPLES = 256
 GRADCHECK_TOL = 1e-4  # the largest relative gradient error gradcheck_report passes
@@ -142,27 +142,21 @@ class HeatmapReport:
                 (Path(out_dir) / f"heatmap_scale{scale}{suffix}.csv").write_text(heatmap_csv(grid))
 
 
-def _heatmap_counts(model: DecoderModel, dataset: GridVqaDataset, batches, encoder_seed: int):
-    """(kept count per visual row, queried cells in their sample's top decile, text positions x blocks x samples)."""
+def _heatmap_counts(model: DecoderModel, dataset: GridVqaDataset, encoder_seed: int, idx):
+    """(kept count per visual row, queried cells in their sample's top decile, text positions x blocks x samples) over idx."""
     cfg = model.config
+    tokens, feats, cls_raw, _ = encode_batch(dataset, idx, cfg.d_in, encoder_seed, scales=cfg.scales, pool=cfg.pool)
+    _, masks = model.forward(tokens, feats, cls_raw, want_masks=True)
+    kept = np.stack([m[:, 1:, :] for m in masks])  # (blocks, B, text, N)
+    top_decile_hits = 0
     fine = scale_layout(cfg.scales).get(1)  # the scale-1 rows, one per grid cell
-    decile_rank = int(np.ceil(0.1 * GRID * GRID))
-    row_counts = np.zeros(cfg.n_rows, dtype=np.int64)
-    top_decile_hits = denominator = 0
-    for idx in batches:
-        tokens, feats, cls_raw, _ = encode_batch(dataset, idx, cfg.d_in, encoder_seed, scales=cfg.scales, pool=cfg.pool)
-        _, masks = model.forward(tokens, feats, cls_raw, want_masks=True)
-        kept = np.stack([m[:, 1:, :] for m in masks])  # (blocks, B, text, N)
-        denominator += kept[..., 0].size
-        row_counts += kept.sum(axis=(0, 1, 2)).astype(np.int64)
-        if fine is not None:
-            per_sample = kept.sum(axis=(0, 2))[:, fine]
-            cells = dataset.queries[idx, 0] * GRID + dataset.queries[idx, 1]
-            own = per_sample[np.arange(len(idx)), cells]
-            rank = np.sum(per_sample > own[:, None], axis=1)  # rows strictly ahead
-            top_decile_hits += int(np.sum(rank < decile_rank))
-        del feats, cls_raw, masks, kept  # free this batch before the next is encoded
-    return row_counts, top_decile_hits, denominator
+    if fine is not None:
+        per_sample = kept.sum(axis=(0, 2))[:, fine]
+        cells = dataset.queries[idx, 0] * GRID + dataset.queries[idx, 1]
+        own = per_sample[np.arange(len(idx)), cells]
+        rank = np.sum(per_sample > own[:, None], axis=1)  # rows strictly ahead
+        top_decile_hits = int(np.sum(rank < int(np.ceil(0.1 * GRID * GRID))))
+    return kept.sum(axis=(0, 1, 2)).astype(np.int64), top_decile_hits, kept[..., 0].size
 
 
 def drop_heatmap(
@@ -352,6 +346,16 @@ ABLATION_AXES = {
 }
 
 
+def _ablation_row(base: ExperimentConfig, base_seed: int, heatmap_samples: int, row) -> RunReport:
+    """The run of one (index, (overrides, label)) row; a failing run becomes its error report."""
+    index, (overrides, label) = row
+    config = replace(base, seed=base_seed + index, **overrides)
+    try:
+        return run_experiment(config, label=label, heatmap_samples=heatmap_samples)
+    except Exception as exc:  # noqa: BLE001 -- sweep must survive bad rows
+        return RunReport(config=config.to_dict(), seed=config.seed, label=label, error=f"{type(exc).__name__}: {exc}")
+
+
 def ablate(
     axis: str,
     *,
@@ -362,20 +366,14 @@ def ablate(
     """Sweep one axis over its fixed configuration set.
 
     Each configuration trains with seed base_seed + index.  A failing run
-    is recorded with its error and the sweep continues.  Reports come
-    back sorted by accuracy, failures last.
+    is recorded with its error and the sweep continues.  The runs may
+    split between two processes (train._split).  Reports come back sorted
+    by accuracy, failures last.
     """
     if axis not in ABLATION_AXES:
         raise ValueError(f"axis must be one of {sorted(ABLATION_AXES)}, got {axis!r}")
     base = base_config if base_config is not None else ExperimentConfig()
-    reports = []
-    for index, (overrides, label) in enumerate(ABLATION_AXES[axis]()):
-        config = replace(base, seed=base_seed + index, **overrides)
-        try:
-            report = run_experiment(config, label=label, heatmap_samples=heatmap_samples)
-        except Exception as exc:  # noqa: BLE001 -- sweep must survive bad rows
-            report = RunReport(config=config.to_dict(), seed=config.seed, label=label, error=f"{type(exc).__name__}: {exc}")
-        reports.append(report)
+    reports = _split(_ablation_row, list(enumerate(ABLATION_AXES[axis]())), base, base_seed, heatmap_samples)
     return sorted(reports, key=lambda r: (not r.ok, -(r.final_accuracy if r.ok else 0.0)))
 
 
@@ -417,6 +415,61 @@ def _answer_loss(model: DecoderModel, tokens, feats, cls_raw, targets) -> tuple[
     return float(np.mean(answer_nll(logits[:, -1, :], targets))), masks
 
 
+def _gradcheck_trial(seed: int, trial: int) -> dict:
+    """gradcheck_report's row for one trial: its model, its inputs and each trainable tensor's relative error."""
+    h = 1e-5
+    rng = np.random.default_rng(np.random.SeedSequence((seed, trial)))
+    dims = {
+        "n_blocks": int(rng.integers(1, 3)),
+        "d_model": int(rng.integers(4, 9)),
+        "d_in": int(rng.integers(2, 7)),
+        "rank": int(rng.integers(1, 4)),
+    }
+    gamma = 0.0 if trial % 2 == 0 else 0.2
+    phi = ACTIVATIONS[trial % len(ACTIVATIONS)]
+    # shifted by one row every round, so a placement does not always meet the same phi
+    placement = LEGAL_PLACEMENTS[(trial + trial // len(LEGAL_PLACEMENTS)) % len(LEGAL_PLACEMENTS)]
+    model = DecoderModel.build(ModelConfig(
+        **dims, placement=placement, gamma=gamma, phi=phi, scales=(4,),
+        pos_scale=0.3, b_scale=0.3, seed=int(rng.integers(2**31)),
+    ))
+    cfg = model.config
+    inputs = (
+        rng.integers(0, cfg.vocab_size, size=(2, 2)),
+        rng.normal(size=(2, cfg.n_rows, cfg.d_in)),
+        rng.normal(size=(2, 1, cfg.d_in)),
+        rng.integers(0, cfg.vocab_size, size=2),
+    )
+    _, grads = model.loss_and_grads(*inputs)
+    masks = _answer_loss(model, *inputs)[1]
+
+    by_tensor, nonsmooth = {}, 0
+    for name, analytic in grads.items():
+        arr = model.trainable_tensors()[name]  # perturbed in place, so forward reads it
+        picks = sorted({int(np.argmax(np.abs(analytic))), *rng.integers(0, arr.size, size=2).tolist()})
+        numeric = []
+        for index in (np.unravel_index(i, arr.shape) for i in picks):
+            keep = arr[index]
+            for step in (h, h / 10, h / 100):
+                arr[index] = keep + step
+                up, up_masks = _answer_loss(model, *inputs)
+                arr[index] = keep - step
+                down, down_masks = _answer_loss(model, *inputs)
+                if all(np.array_equal(a, b) for side in (up_masks, down_masks) for a, b in zip(side, masks)):
+                    break
+            arr[index] = keep
+            nonsmooth += step != h
+            numeric.append((up - down) / (2.0 * step))
+        numeric, sampled = np.array(numeric), analytic.reshape(-1)[picks]
+        scale = max(np.max(np.abs(numeric)), np.max(np.abs(sampled)), 1e-12)
+        by_tensor[name] = float(np.max(np.abs(numeric - sampled)) / scale)
+    return {
+        "trial": trial, **dims, "placement": "->".join(placement),
+        "gamma": gamma, "phi": phi, "max_rel_err": max(by_tensor.values()), "by_tensor": by_tensor,
+        "nonsmooth": nonsmooth,
+    }
+
+
 def gradcheck_report(seed: int = 0, trials: int = 20) -> dict:
     """DecoderModel.loss_and_grads against central differences on tiny models.
 
@@ -432,63 +485,12 @@ def gradcheck_report(seed: int = 0, trials: int = 20) -> dict:
     the keep masks at x +- h differ from those at x, the difference
     straddles a jump of the top-k selection, not a slope; such an entry
     counts as `nonsmooth` and is differenced again at h/10, then h/100,
-    until both sides keep the masks of x.
+    until both sides keep the masks of x.  The trials may split between
+    two processes (train._split).
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    h = 1e-5
-    rows = []
-    for trial in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, trial)))
-        dims = {
-            "n_blocks": int(rng.integers(1, 3)),
-            "d_model": int(rng.integers(4, 9)),
-            "d_in": int(rng.integers(2, 7)),
-            "rank": int(rng.integers(1, 4)),
-        }
-        gamma = 0.0 if trial % 2 == 0 else 0.2
-        phi = ACTIVATIONS[trial % len(ACTIVATIONS)]
-        # shifted by one row every round, so a placement does not always meet the same phi
-        placement = LEGAL_PLACEMENTS[(trial + trial // len(LEGAL_PLACEMENTS)) % len(LEGAL_PLACEMENTS)]
-        model = DecoderModel.build(ModelConfig(
-            **dims, placement=placement, gamma=gamma, phi=phi, scales=(4,),
-            pos_scale=0.3, b_scale=0.3, seed=int(rng.integers(2**31)),
-        ))
-        cfg = model.config
-        inputs = (
-            rng.integers(0, cfg.vocab_size, size=(2, 2)),
-            rng.normal(size=(2, cfg.n_rows, cfg.d_in)),
-            rng.normal(size=(2, 1, cfg.d_in)),
-            rng.integers(0, cfg.vocab_size, size=2),
-        )
-        _, grads = model.loss_and_grads(*inputs)
-        masks = _answer_loss(model, *inputs)[1]
-
-        by_tensor, nonsmooth = {}, 0
-        for name, analytic in grads.items():
-            arr = model.trainable_tensors()[name]  # perturbed in place, so forward reads it
-            picks = sorted({int(np.argmax(np.abs(analytic))), *rng.integers(0, arr.size, size=2).tolist()})
-            numeric = []
-            for index in (np.unravel_index(i, arr.shape) for i in picks):
-                keep = arr[index]
-                for step in (h, h / 10, h / 100):
-                    arr[index] = keep + step
-                    up, up_masks = _answer_loss(model, *inputs)
-                    arr[index] = keep - step
-                    down, down_masks = _answer_loss(model, *inputs)
-                    if all(np.array_equal(a, b) for side in (up_masks, down_masks) for a, b in zip(side, masks)):
-                        break
-                arr[index] = keep
-                nonsmooth += step != h
-                numeric.append((up - down) / (2.0 * step))
-            numeric, sampled = np.array(numeric), analytic.reshape(-1)[picks]
-            scale = max(np.max(np.abs(numeric)), np.max(np.abs(sampled)), 1e-12)
-            by_tensor[name] = float(np.max(np.abs(numeric - sampled)) / scale)
-        rows.append({
-            "trial": trial, **dims, "placement": "->".join(placement),
-            "gamma": gamma, "phi": phi, "max_rel_err": max(by_tensor.values()), "by_tensor": by_tensor,
-            "nonsmooth": nonsmooth,
-        })
+    rows = _split(_gradcheck_trial, list(range(trials)), seed)
     worst = max(r["max_rel_err"] for r in rows)
     nonsmooth = sum(r["nonsmooth"] for r in rows)
     return {"trials": rows, "tolerance": GRADCHECK_TOL, "max_rel_err": worst, "ok": bool(worst <= GRADCHECK_TOL), "nonsmooth": nonsmooth}

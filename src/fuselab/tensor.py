@@ -181,12 +181,15 @@ def save_tensor(path, x: np.ndarray) -> None:
 def load_tensor(path) -> np.ndarray:
     """Read a `.npy` file of 8-byte floats, in either byte order, as float64; ValueError for anything else."""
     with open(path, "rb") as fh:
-        try:
-            x = np.load(fh, allow_pickle=False)
-        except EOFError:
-            raise ValueError("empty file; expected a .npy array") from None
-    if not isinstance(x, np.ndarray):
-        raise ValueError("an .npz archive, not a .npy array")
+        magic = fh.read(len(np.lib.format.MAGIC_PREFIX))
+        if not magic:
+            raise ValueError("empty file; expected a .npy array")
+        if magic.startswith(b"PK"):  # the zip signature
+            raise ValueError("an .npz archive, not a .npy array")
+        if magic != np.lib.format.MAGIC_PREFIX:  # else NumPy would call it pickled data
+            raise ValueError("not a .npy array: the file does not start with the .npy magic")
+        fh.seek(0)
+        x = np.load(fh, allow_pickle=False)
     if x.dtype.kind != "f" or x.dtype.itemsize != 8:
         raise ValueError(f"dtype {x.dtype} is not an 8-byte float")
     return x.astype(FLOAT, copy=False)

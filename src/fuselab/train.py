@@ -4,16 +4,21 @@ Only the fusion tensors move; the base LM stays frozen by construction
 because the update loop iterates over the model's trainable set alone.
 
 With two usable CPUs, a training step splits its batch's tiles
-(DecoderModel.tiles), and `evaluate` and `experiment.drop_heatmap` their
-batches, in two contiguous halves (_halves).  The main process takes the
-first ceil(n/2); one helper process (_Helper), forked when the call
-begins and joined when it returns or raises, takes the rest.  It
-inherits the model and the dataset through the fork, and over one
-multiprocessing.Pipe runs each request fn(model, dataset, *args) for a
-module-level fn.  A training step sends the trainable tensors and its
-samples' indices; the main process adds its own (loss, grads) shares,
-then the helper's, in tile order (add_shares, as loss_and_grads does).
-Forward passes sum integer counts.  So no output depends on whether the
+(DecoderModel.tiles) in two contiguous halves, as many tiles each, and
+_split the batches of `evaluate` and `experiment.drop_heatmap`, the runs
+of `experiment.ablate` and the trials of `experiment.gradcheck_report`:
+the helper takes items 1, 3, 5, ..., and an odd last item runs in the
+main process once the helper is joined.  One helper process (_Helper),
+forked when the call begins and joined when it returns or raises, takes
+the second half; one at a time, since a process with a live helper, or
+a helper itself, keeps all its work (_halves).  The helper inherits what
+it works on through the fork, and over one multiprocessing.Pipe runs
+each request fn(*bound, *args) for a module-level fn; its warnings are
+issued again in the main process.  A training step sends the trainable
+tensors and its samples' indices; the main process adds its own (loss,
+grads) shares, then the helper's, in tile order (add_shares, as
+loss_and_grads does).  Forward passes sum integer counts, and _split
+returns results in item order.  So no output depends on whether the
 helper runs.  Processes, unlike threads, do not share an interpreter
 lock; only two CPUs have been measured, so the split stops at two.
 """
@@ -25,7 +30,8 @@ import os
 import signal
 import threading
 import time
-from contextlib import closing, nullcontext
+import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,15 +92,11 @@ class TrainResult:
     wall_clock_s: float
 
 
-def _hits(model: DecoderModel, dataset: GridVqaDataset, batches, encoder_seed: int) -> tuple[int]:
-    """Greedy answers that match, over the given batches of dataset indices."""
+def _hits(model: DecoderModel, dataset: GridVqaDataset, encoder_seed: int, idx) -> tuple[int]:
+    """Greedy answers that match, over the dataset indices idx."""
     cfg = model.config
-    hits = 0
-    for idx in batches:
-        tokens, feats, cls_raw, answers = encode_batch(dataset, idx, cfg.d_in, encoder_seed, scales=cfg.scales, pool=cfg.pool)
-        hits += int(np.sum(model.predict(tokens, feats, cls_raw) == answers))
-        del feats, cls_raw  # free this batch before the next is encoded
-    return (hits,)
+    tokens, feats, cls_raw, answers = encode_batch(dataset, idx, cfg.d_in, encoder_seed, scales=cfg.scales, pool=cfg.pool)
+    return (int(np.sum(model.predict(tokens, feats, cls_raw) == answers)),)
 
 
 def evaluate(
@@ -104,7 +106,9 @@ def evaluate(
     encoder_seed: int,
     batch_size: int = 256,
 ) -> float:
-    """Greedy accuracy at the answer position over the whole dataset."""
+    """Greedy accuracy at the answer position over the whole dataset, which must not be empty."""
+    if len(dataset) == 0:
+        raise ValueError("cannot evaluate on an empty dataset")
     (hits,) = _batch_sums(_hits, model, dataset, len(dataset), batch_size, encoder_seed)
     return hits / len(dataset)
 
@@ -151,17 +155,22 @@ def _step(model: DecoderModel, dataset: GridVqaDataset, tensors, idx, tiles, cou
 
 
 def _halves(items: list) -> tuple[list, list]:
-    """The main process's first ceil(n/2) items and the helper's rest, or all items and none."""
+    """The main process's items 0, 2, 4, ... (and an odd last one) and the helper's 1, 3, 5, ..., or all items and none."""
     # fork copies only the calling thread, so a lock another Python thread holds would stay held
     # in the helper.  active_count sees Python threads only; NumPy's OpenBLAS stops its worker
     # threads in its own pthread_atfork handler and starts them again on its next call.
-    forkable = _usable_cpus() >= 2 and threading.active_count() == 1
-    cut = -(-len(items) // 2) if forkable else len(items)  # -(-a // b) is ceil(a / b)
-    return items[:cut], items[cut:]
+    forkable = not _busy and _usable_cpus() >= 2 and threading.active_count() == 1
+    pairs = len(items) // 2 * 2 if forkable else 0
+    return items[:pairs:2] + items[pairs:], items[1:pairs:2]
+
+
+_busy = False  # this process has a live helper, or is one: it forks no other (_halves)
 
 
 def _serve(bound: tuple, conn, main_end) -> None:
-    """The helper's loop: reply to each request (fn, args) with (error or None, fn(*bound, *args)); ends at EOF."""
+    """The helper's loop: reply to each request (fn, args) with (error or None, fn(*bound, *args), warnings); ends at EOF."""
+    global _busy
+    _busy = True
     main_end.close()  # inherited through the fork; while open here, this loop would never see EOF
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C stops the main process, and its exit ends this loop
     while True:
@@ -169,55 +178,79 @@ def _serve(bound: tuple, conn, main_end) -> None:
             fn, args = conn.recv()
         except EOFError:
             return
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                reply = None, fn(*bound, *args)
+            except Exception as exc:  # noqa: BLE001 -- re-raised in the main process
+                reply = exc, None
         try:
-            reply = None, fn(*bound, *args)
-        except Exception as exc:  # noqa: BLE001 -- re-raised in the main process
-            reply = exc, None
-        try:
-            conn.send(reply)
+            conn.send((*reply, [(w.message, w.category, w.filename, w.lineno) for w in caught]))
         except OSError:  # the main process closed its end: it has stopped
             return
         del reply  # free the result before the next request is served
 
 
 class _Helper:
-    """One helper process running _serve over `bound`, until `close` joins it."""
+    """One helper process running _serve over `bound`, until its `with` block ends."""
 
     def __init__(self, *bound):
+        global _busy
         import multiprocessing  # here, so that a process that never starts the helper never pays for the import
 
         self.conn, helper_end = multiprocessing.Pipe()
         self.process = multiprocessing.get_context("fork").Process(target=_serve, args=(bound, helper_end, self.conn))
         self.process.start()
         helper_end.close()
+        _busy = True
 
     def send(self, fn, *args) -> None:
         self.conn.send((fn, args))
 
     def recv(self):
         try:
-            error, result = self.conn.recv()
+            error, result, caught = self.conn.recv()
         except (EOFError, ConnectionResetError):
             raise RuntimeError(f"helper process {self.process.pid} exited mid-call") from None
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno)
         if error is not None:
             raise error
         return result
 
-    def close(self) -> None:
+    def __enter__(self) -> "_Helper":
+        return self
+
+    def __exit__(self, error_type, *_) -> None:
+        """Join the helper; kill it first if the block raised, so that no unwanted work delays the error."""
+        global _busy
+        _busy = False  # nothing here forks before the join below returns
         self.conn.close()  # the helper reads EOF and returns
+        if error_type is not None:
+            self.process.kill()
         self.process.join()
         self.process.close()
 
 
-def _batch_sums(fn, model: DecoderModel, dataset: GridVqaDataset, n: int, batch_size: int, *args) -> tuple:
-    """fn(model, dataset, batches, *args), a tuple of integer sums, over [0, n)'s batches, split (_halves)."""
-    batches = [np.arange(start, min(start + batch_size, n)) for start in range(0, n, batch_size)]
-    own, rest = _halves(batches)
+def _each(fn, *args) -> list:
+    """[fn(*bound, item) for item in items], where args is (*bound, items)."""
+    return [fn(*args[:-1], item) for item in args[-1]]
+
+
+def _split(fn, items: list, *bound) -> list:
+    """[fn(*bound, item) for item in items], in item order, the items split between two processes (_halves)."""
+    own, rest = _halves(items)
     if not rest:
-        return fn(model, dataset, own, *args)
-    with closing(_Helper(model, dataset)) as helper:
-        helper.send(fn, rest, *args)
-        return tuple(a + b for a, b in zip(fn(model, dataset, own, *args), helper.recv(), strict=True))
+        return _each(fn, *bound, own)
+    with _Helper(fn, *bound) as helper:
+        helper.send(_each, rest)
+        results = [r for pair in zip(_each(fn, *bound, own[: len(rest)]), helper.recv()) for r in pair]
+    return results + _each(fn, *bound, own[len(rest) :])  # an odd last item, after the helper is joined
+
+
+def _batch_sums(fn, model: DecoderModel, dataset: GridVqaDataset, n: int, batch_size: int, *args) -> tuple:
+    """The sums of fn(model, dataset, *args, batch), a tuple of integers or integer arrays, over [0, n)'s batches (_split)."""
+    batches = [np.arange(start, min(start + batch_size, n)) for start in range(0, n, batch_size)]
+    return tuple(sum(column) for column in zip(*_split(fn, batches, model, dataset, *args)))
 
 
 def train_model(
@@ -246,10 +279,11 @@ def train_model(
     velocity = {name: np.zeros_like(t) for name, t in trainable.items()}
     losses = np.zeros(steps)
     tiles = model.tiles(batch_size)
-    own, rest = _halves(tiles)
+    split = len(_halves(tiles)[0])  # contiguous halves, so each process encodes one run of samples
+    own, rest = tiles[:split], tiles[split:]
     cut = own[-1].stop  # the main process encodes samples [0, cut), the helper the rest
     helper_tiles = [slice(t.start - cut, t.stop - cut) for t in rest]
-    with closing(_Helper(model, train_set)) if rest else nullcontext() as helper:
+    with _Helper(model, train_set) if rest else nullcontext() as helper:
         for step in range(steps):
             idx = batch_rng.integers(0, len(train_set), size=batch_size)
             if helper is not None:

@@ -188,6 +188,12 @@ def _cut_a_feat(m, ck):
     return m
 
 
+def _text_a_feat(m, ck):
+    """Replace a_feat's tensor file with text."""
+    (ck / "fusion_a_feat.npy").write_text("0.0 0.0\n")
+    return m
+
+
 class TestHeatmapCommand:
     def test_reads_checkpoint_and_writes_grids(self, tiny_config_file, tmp_path, capsys):
         run_dir = tmp_path / "run"
@@ -256,8 +262,9 @@ class TestHeatmapCommand:
         (lambda m, _: {**m, "base_sha256": "0" * 64}, "base_sha256 does not match"),
         (lambda m, _: {k: v for k, v in m.items() if k != "step"}, "step must be a JSON integer, got nothing"),
         (_cut_a_feat, "checkpoint tensor 'a_feat' in fusion_a_feat.npy: EOF: reading array header length"),
+        (_text_a_feat, "checkpoint tensor 'a_feat' in fusion_a_feat.npy: not a .npy array"),
     ], ids=["unknown-config-key", "list", "numeric-config", "format-1", "format-2", "no-digest", "numeric-metrics", "null-metrics",
-            "numeric-digest", "other-digest", "no-step", "truncated-tensor-file"])
+            "numeric-digest", "other-digest", "no-step", "truncated-tensor-file", "text-tensor-file"])
     def test_malformed_manifest_structured_error(self, edit, message, tmp_path, capsys):
         save_checkpoint(tmp_path / "ck", DecoderModel.build(ModelConfig()))
         mpath = tmp_path / "ck" / "manifest.json"

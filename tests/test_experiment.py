@@ -1,6 +1,7 @@
 """Tests for the experiment harness: runs, sweeps, heatmaps, reports."""
 
 import json
+import os
 import warnings
 
 import numpy as np
@@ -22,9 +23,13 @@ from fuselab.experiment import (
     run_experiment,
     train_and_save,
 )
+from fuselab import experiment as experiment_module
 from fuselab import model as model_module
+from fuselab import train as train_module
 from fuselab.model import LEGAL_PLACEMENTS, DecoderModel
 from fuselab.tensor import ACTIVATIONS
+
+from .test_train import HelperFixtures, InjectedFailure
 
 
 def tiny_config(**overrides):
@@ -157,6 +162,66 @@ class TestAblate:
         note = projection_ordering_note(reports)
         for key in ("silu", "identity", "softmax_rows"):
             assert key in note
+
+
+def without_wall_clock(reports):
+    return [{k: v for k, v in r.to_dict().items() if k != "wall_clock_s"} for r in reports]
+
+
+class TestSplitSweeps(HelperFixtures):
+    """ablate splits its runs, and gradcheck_report its trials, between the main process and one helper."""
+
+    @pytest.mark.parametrize("axis", ["placement", "gamma"], ids=["even", "odd"])
+    def test_ablate_equal_at_one_and_two_cpus(self, axis, monkeypatch):
+        sweeps = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(train_module, "_usable_cpus", lambda: cpus)
+            sweeps.append(without_wall_clock(ablate(axis, base_seed=2, base_config=tiny_config(steps=3))))
+        assert sweeps[0] == sweeps[1]
+
+    def test_gradcheck_equal_at_one_and_two_cpus(self, monkeypatch):
+        results = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(train_module, "_usable_cpus", lambda: cpus)
+            results.append(gradcheck_report(seed=1, trials=5))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("axis, helpers", [("placement", 1), ("gamma", 2)], ids=["even", "odd"])
+    def test_one_helper_and_one_more_for_an_odd_last_run(self, axis, helpers, monkeypatch, forks):
+        """The runs split no further while the helper lives; the odd last run, after it is joined, splits its steps."""
+        monkeypatch.setattr(train_module, "_usable_cpus", lambda: 2)
+        ablate(axis, base_config=tiny_config(steps=2, batch_size=32))  # two tiles a step
+        assert len(forks) == helpers
+
+    def test_a_row_failing_in_the_helper_is_its_error_row(self, monkeypatch, forks):
+        monkeypatch.setattr(train_module, "_usable_cpus", lambda: 2)
+        main_pid, real = os.getpid(), experiment_module.run_experiment
+
+        def run_experiment(config, **kwargs):
+            if os.getpid() != main_pid and config.seed == 1:
+                raise InjectedFailure("raised in the helper process")
+            return real(config, **kwargs)
+
+        monkeypatch.setattr(experiment_module, "run_experiment", run_experiment)
+        reports = ablate("placement", base_config=tiny_config(steps=2))
+        failed = [r for r in reports if not r.ok]
+        assert len(forks) == 1 and len(reports) == 6 and [r.seed for r in failed] == [1]
+        assert failed[0].error == "InjectedFailure: raised in the helper process" and reports[-1] is failed[0]
+
+    def test_a_warning_in_the_helper_reaches_the_caller(self, monkeypatch, forks):
+        monkeypatch.setattr(train_module, "_usable_cpus", lambda: 2)
+        main_pid, real = os.getpid(), experiment_module.run_experiment
+
+        def run_experiment(config, **kwargs):
+            if os.getpid() != main_pid:
+                warnings.warn(f"run {config.seed} in the helper process", UserWarning)
+            return real(config, **kwargs)
+
+        monkeypatch.setattr(experiment_module, "run_experiment", run_experiment)
+        with pytest.warns(UserWarning, match="in the helper process") as caught:
+            ablate("placement", base_config=tiny_config(steps=2))
+        assert sorted(str(w.message) for w in caught) == [f"run {i} in the helper process" for i in (1, 3, 5)]
+        assert len(forks) == 1
 
 
 class TestDropHeatmap:

@@ -305,11 +305,17 @@ class TestBinaryFormat:
         (saved_bytes(np.save, np.zeros(3, dtype=np.int64)), "dtype int64 is not an 8-byte float"),
         (saved_bytes(np.save, np.zeros(3, dtype=np.float32)), "dtype float32 is not an 8-byte float"),
         (saved_bytes(np.save, np.array([1.0, None]), allow_pickle=True), "allow_pickle=False"),
-    ], ids=["empty", "cut-header-length", "cut-header", "npz", "int64", "float32", "pickled-object"])
+        (b"1.0, 2.0, 3.0\n", "not a .npy array"),
+        (b"ADMT\x01\x00\x00\x00" + np.zeros(3).tobytes(), "not a .npy array"),
+        (b"\x93NU", "not a .npy array"),
+    ], ids=["empty", "cut-header-length", "cut-header", "npz", "int64", "float32", "pickled-object",
+            "text", "other-format", "three-bytes"])
     def test_not_float64_npy_rejected(self, blob, message, tmp_path):
         (tmp_path / "t.npy").write_bytes(blob)
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.raises(ValueError, match=re.escape(message)) as raised:
             load_tensor(tmp_path / "t.npy")
+        if message == "not a .npy array":  # not NumPy's advice to load the file unsafely
+            assert "pickle" not in str(raised.value)
 
     def test_dims_whose_product_overflows_64_bits_rejected(self, tmp_path):
         (tmp_path / "t.npy").write_bytes(saved_bytes(np.lib.format.write_array_header_1_0,

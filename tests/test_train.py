@@ -457,7 +457,38 @@ class TestSplitForwardPasses(HelperFixtures):
         assert sorted(os.listdir("/proc/self/fd")) == before and len(forks) == 2
 
 
+class TestSplit(HelperFixtures):
+    """_split hands every other item to one helper; _halves gives nothing away while a helper lives."""
+
+    def test_strided_halves_and_an_odd_last_item(self, monkeypatch):
+        monkeypatch.setattr(train_module, "_usable_cpus", lambda: 2)
+        assert train_module._halves(list(range(5))) == ([0, 2, 4], [1, 3])
+        assert train_module._halves(list(range(4))) == ([0, 2], [1, 3])
+        assert train_module._halves([7]) == ([7], [])
+
+    def test_no_rest_while_a_helper_lives_or_in_a_helper(self, monkeypatch, forks):
+        monkeypatch.setattr(train_module, "_usable_cpus", lambda: 2)
+        items = list(range(4))
+        with train_module._Helper() as helper:
+            assert train_module._halves(items) == (items, [])
+            helper.send(train_module._halves, items)
+            assert helper.recv() == (items, [])
+        assert train_module._halves(items) == ([0, 2], [1, 3]) and len(forks) == 1
+
+    @pytest.mark.parametrize("n", [4, 5], ids=["even", "odd"])
+    def test_results_in_item_order(self, n, monkeypatch, forks):
+        monkeypatch.setattr(train_module, "_usable_cpus", lambda: 2)
+        assert train_module._split(pow, list(range(n)), 3) == [3**i for i in range(n)]
+        assert len(forks) == 1
+
+
 class TestEvaluate:
+    def test_empty_dataset_rejected(self, small_data):
+        _, test_set = small_data
+        empty = GridVqaDataset(test_set.images[:0], test_set.queries[:0], test_set.answers[:0], test_set.channels)
+        with pytest.raises(ValueError, match="empty dataset"):
+            evaluate(DecoderModel.build(small_config()), empty, encoder_seed=0)
+
     def test_matches_manual_prediction(self, small_data):
         _, test_set = small_data
         model = DecoderModel.build(small_config())
